@@ -1,16 +1,25 @@
 """Exact coefficient arithmetic: rationals, or rational functions in parameters.
 
 Coefficients live in Q when the context declares no parameters and in the
-fraction field Q(l1, ..., lr) otherwise.  Both are provided by sympy's sparse
-polynomial domains (gmpy2-backed), wrapped here behind a single small API so
-the rest of the package never touches sympy directly.
+fraction field Q(l1, ..., lr) otherwise.  Both come from sympy's sparse
+polynomial domains; without gmpy2 installed sympy runs them on pure-Python
+rationals, which run a gcd on every operation.
+
+The completion engines therefore compute in the ring beneath the field:
+plain Python ints for Q, and Z[l1, ..., lr] (sympy ring elements, lex order,
+the field's generator order) for Q(l1, ..., lr).  ``to_ring`` clears
+denominators, ``from_ring`` maps back, and ``ring_primitive`` reproduces on
+ring elements the content normalization that ``common_unit`` performs in the
+field.  This module wraps both behind one small API so the rest of the
+package never touches sympy directly.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
-from sympy.polys.domains import QQ
+from sympy.polys.domains import QQ, ZZ
 
 
 class CoeffField:
@@ -32,6 +41,7 @@ class CoeffField:
             self._gens = {}
         self.zero = self.domain.zero
         self.one = self.domain.one
+        self._ring = None
 
     def __eq__(self, other):
         return isinstance(other, CoeffField) and self.params == other.params
@@ -109,64 +119,129 @@ class CoeffField:
 
     def common_unit(self, coeffs):
         """A unit u of the field such that dividing every c in coeffs by u
-        leaves integer-coefficient, overall-primitive numerators, denominator
-        one, and a positive sign on the first coefficient.  Used to keep basis
+        leaves integer-coefficient numerators over denominator one, with a
+        positive leading coefficient on the first one.  Used to keep basis
         elements in primitive form.
+
+        Over Q, u is the content (gcd of numerators over lcm of denominators)
+        and the quotients are coprime integers.  Over Q(params), u is the
+        *monic* gcd over Q[params] of the cleared numerators times their
+        integer content.  With G the gcd over Z[params] of the cleared
+        numerators n, each quotient is (n / G) * (LC(G) / content(G)), so the
+        result need not be primitive: (2t+1, 2t^2+t) becomes (2, 2t), not
+        (1, t).  See ``ring_primitive``, which computes it.
         """
         coeffs = [c for c in coeffs if c]
         if not coeffs:
             return self.one
+        den = self.ring_denominator(coeffs)
+        cleared = [self.to_ring(c, den) for c in coeffs]
+        quotients = self.ring_primitive(cleared[0], cleared) or cleared
+        return coeffs[0] / self.from_ring(quotients[0])
+
+    # -- the ring beneath the field ----------------------------------------
+
+    @property
+    def ring(self):
+        """Z[params] as a sympy ring, built on first use; None over Q, whose
+        ring elements are plain ints."""
+        if self._ring is None and self.params:
+            self._ring = self.domain.field.ring.clone(domain=ZZ)
+        return self._ring
+
+    def ring_denominator(self, coeffs):
+        """A common denominator of the field elements coeffs, as a ring
+        element: the lcm of their denominators."""
         if not self.params:
-            from math import gcd
-            num_gcd = 0
-            den_lcm = 1
-            for c in coeffs:
-                num_gcd = gcd(num_gcd, int(c.numerator))
-                d = int(c.denominator)
-                den_lcm = den_lcm // gcd(den_lcm, d) * d
-            u = self.domain.convert(QQ(num_gcd, den_lcm))
-            if coeffs[0] * den_lcm < 0:
-                u = -u
-            return u
-        raw_field = self.domain.field
-        # clear denominators first
-        den_lcm = self.one.denom  # ring one
+            return lcm(*(int(c.denominator) for c in coeffs))
+        den = self.ring.one
         for c in coeffs:
-            d = c.denom
-            g = den_lcm.gcd(d)
-            den_lcm = den_lcm * d.quo(g)
-        nums = [(c * raw_field.field_new(den_lcm)).numer for c in coeffs]
-        g = nums[0]
-        for n in nums[1:]:
-            if g.is_ground and g.LC == QQ(1):
-                break
-            g = g.gcd(n)
-        # include rational content so the result is integer-primitive
-        from math import gcd as igcd, lcm as ilcm
-        cnum = 0
-        cden = 1
-        for n in nums:
-            for q in n.coeffs():
-                cnum = igcd(cnum, int(q.numerator))
-                cden = ilcm(cden, int(q.denominator))
-        g = g * QQ(cnum, cden) / g.LC
-        u = raw_field.field_new(g) / raw_field.field_new(den_lcm)
-        lead = (coeffs[0] / u).numer.LC
-        if lead < 0:
-            u = -u
-        return u
+            if c.denom != 1:
+                den = den.lcm(c.denom.set_ring(self.ring))
+        return den
+
+    def to_ring(self, c, den=1):
+        """The ring element c * den; den must be a common denominator from
+        ``ring_denominator``."""
+        if not self.params:
+            return int(c.numerator) * (den // int(c.denominator))
+        num = c.numer.set_ring(self.ring)
+        return num if den == 1 else num * (den // c.denom.set_ring(self.ring))
+
+    def from_ring(self, c):
+        """The field element equal to the ring element c."""
+        if not self.params:
+            return QQ(c)
+        field = self.domain.field
+        return field.raw_new(c.set_ring(field.ring))
+
+    def ring_gcd(self, coeffs):
+        """gcd of ring elements, integer content included (positive leading
+        coefficient over Z[params]); zero when coeffs is empty."""
+        if not self.params:
+            g = 0
+            for c in coeffs:
+                g = gcd(g, c)
+                if g == 1:
+                    break
+            return g
+        coeffs = iter(coeffs)
+        g = self.ring.zero
+        for c in coeffs:
+            g = g.gcd(c)
+            if g.is_ground:
+                n = g.LC
+                for c in coeffs:
+                    if n == 1:
+                        break
+                    n = gcd(n, c.content())
+                return self.ring(n)
+        return g
+
+    def ring_primitive(self, lead, coeffs):
+        """What dividing by ``common_unit`` makes of the ring coefficients in
+        the field, or None when they stay as they are.
+
+        With g their gcd, each c becomes (c / g) * k, where k = LC(g) /
+        content(g) over Z[params] and k = 1 over Z, negated when that leaves
+        a negative leading coefficient on lead.
+        """
+        g = self.ring_gcd(coeffs)
+        if not self.params:
+            if lead < 0:
+                g = -g
+            return None if g == 1 else [c // g for c in coeffs]
+        k = g.LC // g.content()
+        if lead.LC < 0:
+            k = -k
+        if g == 1 and k == 1:
+            return None
+        out = [_exquo(c, g) for c in coeffs]
+        return out if k == 1 else [c * k for c in out]
+
+    def ring_cancel(self, den, coeffs):
+        """The ring coefficients divided by the factor of gcd(den, coeffs)
+        that involves a parameter, or None when there is none.
+
+        That gives what dividing by den in the field gives, as far as
+        ``ring_primitive`` can tell: an integer factor does not change its
+        result, a parametric one changes the factor k it multiplies by.
+        """
+        if not self.params or den == 1 or den.is_ground:
+            return None
+        g = self.ring_gcd([den, *coeffs])
+        return None if g.is_ground else [_exquo(c, g) for c in coeffs]
 
     def canonical_assumption(self, c):
         """Canonical representative of the vanishing locus of c: the integer
         primitive, sign-normalized numerator polynomial."""
         if not self.params:
             return self.one
-        from math import gcd as igcd, lcm as ilcm
         num = c.numer
         cnum, cden = 0, 1
         for q in num.coeffs():
-            cnum = igcd(cnum, int(q.numerator))
-            cden = ilcm(cden, int(q.denominator))
+            cnum = gcd(cnum, int(q.numerator))
+            cden = lcm(cden, int(q.denominator))
         u = QQ(cnum, cden)
         if num.LC < 0:
             u = -u
@@ -246,6 +321,14 @@ class CoeffField:
         for part in parts[1:]:
             out += " - " + part[1:] if part.startswith("-") else " + " + part
         return out
+
+
+def _exquo(c, g):
+    """c / g for Z[params] elements with g dividing c; dividing by a term
+    (the common case: a power product of parameters) is cheap."""
+    if len(g) == 1:
+        return c.quo_term(g.LT)
+    return c.exquo(g)
 
 
 def _frac_str(q: Fraction) -> str:

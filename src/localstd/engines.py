@@ -5,6 +5,14 @@ coefficients instead of dividing, and every intermediate polynomial is kept
 primitive (common coefficient content removed).  Over parametric coefficient
 fields this both bounds growth and keeps leading coefficients meaningful for
 the stratification workflow.
+
+Inside the engines coefficients live in the ring beneath the field (ints, or
+Z[params]; see ``coeffs``): denominators are cleared once on the way in and
+the results are mapped back to the field on the way out.  Such ring
+polynomials are ``Poly`` objects whose coefficients are ring elements; only
+arithmetic, equality and leading terms apply to them, and ``_primitive``
+stands in for ``Poly.primitive``.  It reproduces it exactly, so every
+intermediate polynomial equals the one a field computation would give.
 """
 
 from __future__ import annotations
@@ -103,6 +111,43 @@ class _Budget:
 
 
 # ---------------------------------------------------------------------------
+# ring coefficients
+# ---------------------------------------------------------------------------
+
+def _to_ring(p: Poly):
+    """(q, den): q has ring coefficients and p = q / den."""
+    field = p.ctx.field
+    den = field.ring_denominator(c for _, c in p.items())
+    return Poly(p.ctx, {m: field.to_ring(c, den) for m, c in p.items()}), den
+
+
+def _from_ring(p: Poly) -> Poly:
+    field = p.ctx.field
+    return Poly(p.ctx, {m: field.from_ring(c) for m, c in p.items()})
+
+
+def _primitive(p: Poly, order: MonomialOrder) -> Poly:
+    """Poly.primitive for ring coefficients: the same polynomial, content
+    removed and sign fixed on the leading term."""
+    if p.is_zero():
+        return p
+    coeffs = p.ctx.field.ring_primitive(p.leading_coefficient(order),
+                                        [c for _, c in p.items()])
+    return p if coeffs is None else Poly(p.ctx, dict(zip(p.monomials(), coeffs)))
+
+
+def _cancel(p: Poly, den) -> Poly:
+    """p / den as far as _primitive can tell (see CoeffField.ring_cancel).
+
+    Content removal over Q(params) depends on how a polynomial is written, not
+    only on the ideal it spans, so a quotient that the field would have formed
+    must be formed here too before _primitive.
+    """
+    coeffs = p.ctx.field.ring_cancel(den, [c for _, c in p.items()])
+    return p if coeffs is None else Poly(p.ctx, dict(zip(p.monomials(), coeffs)))
+
+
+# ---------------------------------------------------------------------------
 # elementary operations
 # ---------------------------------------------------------------------------
 
@@ -110,12 +155,19 @@ def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     """Cross-multiplied S-polynomial; the shared leading monomial cancels."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial")
+    (fr, df), (gr, dg) = _to_ring(f), _to_ring(g)
+    return _from_ring(_spoly(fr, gr, order, df * dg))
+
+
+def _spoly(f: Poly, g: Poly, order: MonomialOrder, den=1) -> Poly:
+    """s_polynomial of f / den_f and g / den_g, on ring coefficients, with
+    den = den_f * den_g."""
     cf, mf = f.leading_term(order)
     cg, mg = g.leading_term(order)
     l = mf.lcm(mg)
     a = f.mul_term(cg, l.quo(mf))
     b = g.mul_term(cf, l.quo(mg))
-    return (a - b).primitive(order)
+    return _primitive(_cancel(a - b, den), order)
 
 
 def ecart(f: Poly, order: MonomialOrder) -> int:
@@ -139,15 +191,20 @@ def normal_form(f: Poly, G: PolySet, step_budget: Optional[int] = None) -> Poly:
     if order.classify(f.ctx.arity) is not OrderClass.GLOBAL:
         raise OrderClassError("normal_form requires a global monomial order")
     budget = _Budget(step_budget)
-    return _reduce_full(f, list(G.elements), order, budget)
-
-
-def _reduce_full(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -> Poly:
+    fr, den = _to_ring(f)
+    r, u = _divide(fr, [_to_ring(g)[0] for g in G], order, budget)
     field = f.ctx.field
+    return _from_ring(r).scale(field.one / field.from_ring(den * u))
+
+
+def _divide(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget):
+    """(r, u) with u the product of the leading coefficients divided by and
+    u*f - r in the ideal of gens; no monomial of r is divisible by a leading
+    monomial of gens."""
     lts = [g.leading_term(order) for g in gens]
     h = f
     r = f.ctx.zero()
-    u = field.one
+    u = 1
     while h:
         budget.tick()
         ch, mh = h.leading_term(order)
@@ -164,9 +221,13 @@ def _reduce_full(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budge
         h = h.scale(cg) - g.mul_term(ch, mh.quo(mg))
         r = r.scale(cg)
         u = u * cg
-    if u != field.one:
-        r = r.scale(field.one / u)
-    return r
+    return r, u
+
+
+def _reduce_full(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -> Poly:
+    """The remainder r / u of _divide, as far as _primitive can tell."""
+    r, u = _divide(f, gens, order, budget)
+    return _cancel(r, u)
 
 
 def weak_normal_form(f: Poly, G: PolySet, step_budget: Optional[int] = None) -> Poly:
@@ -181,14 +242,21 @@ def weak_normal_form(f: Poly, G: PolySet, step_budget: Optional[int] = None) -> 
     if order.classify(f.ctx.arity) is OrderClass.MIXED:
         raise OrderClassError("weak_normal_form rejects mixed monomial orders")
     budget = _Budget(step_budget)
-    return _weak_nf(f, list(G.elements), order, budget)
+    fr, den = _to_ring(f)
+    gens, dens = zip(*(_to_ring(g) for g in G))
+    h = _weak_nf(fr, list(gens), order, budget, (den, *dens))
+    return f if h is fr else _from_ring(h)
 
 
-def _weak_nf(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -> Poly:
+def _weak_nf(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget,
+             dens=None) -> Poly:
+    """Weak normal form on ring coefficients; dens, when given, holds the
+    denominators cleared from f and from each of gens."""
     h = f
     pool = list(gens)
     pool_lm = [g.leading_monomial(order) for g in pool]
     pool_ecart = [ecart(g, order) for g in pool]
+    h_den, *pool_den = dens or [1] * (len(pool) + 1)
     while h:
         budget.tick()
         mh = h.leading_monomial(order)
@@ -205,7 +273,9 @@ def _weak_nf(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -
             pool.append(h)
             pool_lm.append(mh)
             pool_ecart.append(eh)
-        h = s_polynomial(h, pool[best], order)
+            pool_den.append(h_den)
+        h = _spoly(h, pool[best], order, h_den * pool_den[best])
+        h_den = 1
     return h
 
 
@@ -270,7 +340,11 @@ def _select_pair(P, lm, order):
 
 def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Budget):
     """Run pair completion starting from the seed, reducing S-polynomials
-    with the supplied reducer (full division or Mora weak normal form)."""
+    with the supplied reducer (full division or Mora weak normal form).
+
+    Completion runs on ring coefficients: the seed is cleared of
+    denominators and made primitive, and the basis is returned over the
+    field."""
     f: list[Poly] = []
     lm: list[Monomial] = []
     G: set[int] = set()
@@ -283,22 +357,24 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
         G, P = _update(G, P, len(f) - 1, f, lm, order)
 
     for p in seed:
-        p = p.primitive(order)
-        if not p.is_zero() and p not in f:
+        p = _primitive(_to_ring(p)[0], order)
+        if p not in f:
             add(p)
 
-    while P:
+    # Once a unit is in G, every reduction gives zero (its leading monomial 1
+    # divides every monomial), so the pairs left cannot change G.
+    while P and all(lm[k].degree for k in G):
         i, j = _select_pair(P, lm, order)
         P.remove((i, j))
         budget.tick()
-        sp = s_polynomial(f[i], f[j], order)
+        sp = _spoly(f[i], f[j], order)
         if sp.is_zero():
             continue
         h = reducer(sp, [f[k] for k in sorted(G)], order, budget)
         if not h.is_zero():
-            add(h.primitive(order))
+            add(_primitive(h, order))
 
-    return [f[k] for k in sorted(G)]
+    return [_from_ring(f[k]) for k in sorted(G)]
 
 
 def _minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
@@ -373,7 +449,7 @@ def standard_basis(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
 
 def _interreduce(basis: list[Poly], order: MonomialOrder, budget: _Budget) -> list[Poly]:
     """Fully reduce each tail against the others (global orders only)."""
-    out = list(basis)
+    out = [_to_ring(p)[0] for p in basis]
     changed = True
     while changed:
         changed = False
@@ -386,8 +462,8 @@ def _interreduce(basis: list[Poly], order: MonomialOrder, budget: _Budget) -> li
                 out.pop(i)
                 changed = True
                 break
-            r = r.primitive(order)
+            r = _primitive(r, order)
             if r != out[i]:
                 out[i] = r
                 changed = True
-    return out
+    return [_from_ring(p) for p in out]

@@ -12,7 +12,7 @@ completion: the oracle shares nothing with the engines it checks.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from math import gcd, lcm
 
 from localstd.poly import Monomial, Poly
 
@@ -39,8 +39,13 @@ def monomials_upto(arity: int, bound: int) -> list[Monomial]:
 
 def _pivot_columns(rows: list[dict]) -> set:
     """Row echelon over Q; returns the set of pivot column indices.  Rows are
-    dicts keyed by column index; the pivot of a row is its smallest index."""
-    rows = [dict(r) for r in rows if r]
+    dicts keyed by column index; the pivot of a row is its smallest index.
+
+    Elimination is fraction-free: each row is scaled once to coprime
+    integers, a pivot row is subtracted by integer cross-multiplication, and
+    the result is divided by the gcd of its entries.
+    """
+    rows = [_coprime(_cleared(r)) for r in rows if r]
     pivots: dict[int, dict] = {}
     while rows:
         rows.sort(key=len, reverse=True)
@@ -49,17 +54,37 @@ def _pivot_columns(rows: list[dict]) -> set:
             col = min(row)
             if col in pivots:
                 piv = pivots[col]
-                fac = row[col] / piv[col]
+                g = gcd(row[col], piv[col])
+                a, b = piv[col] // g, row[col] // g
+                if a != 1:
+                    row = {c: a * v for c, v in row.items()}
                 for c, v in piv.items():
-                    nv = row.get(c, Fraction(0)) - fac * v
+                    nv = row.get(c, 0) - b * v
                     if nv:
                         row[c] = nv
                     elif c in row:
                         del row[c]
+                row = _coprime(row)
             else:
                 pivots[col] = row
                 break
     return set(pivots)
+
+
+def _cleared(row: dict) -> dict:
+    """The rational row times the lcm of its denominators, as ints."""
+    den = lcm(*(v.denominator for v in row.values()))
+    return {c: int(v * den) for c, v in row.items()}
+
+
+def _coprime(row: dict) -> dict:
+    """The integer row divided by the gcd of its entries."""
+    g = 0
+    for v in row.values():
+        g = gcd(g, v)
+        if g == 1:
+            return row
+    return {c: v // g for c, v in row.items()} if g else row
 
 
 def _standard_monomials(gens: list[Poly], bound: int) -> list[Monomial]:

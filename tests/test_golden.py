@@ -20,7 +20,8 @@ from pathlib import Path
 
 import pytest
 
-from localstd import VarCtx, grevlex, parse_poly, s_polynomial
+from localstd import (PolySet, VarCtx, grevlex, parse_poly, s_polynomial,
+                      weak_normal_form)
 from localstd.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -102,6 +103,18 @@ def test_s_polynomial_keeps_parametric_content_factor():
     g = parse_poly("x*y + (2*t+1)*t*y^2", ctx)
     sp = s_polynomial(f, g, grevlex())
     assert sp == parse_poly("2*t*x*y^2 - 2*y^2", ctx)
+
+
+def test_parametric_denominator_of_an_input_cancels_the_content_factor():
+    # Written over the denominator 2t+1, f makes the field S-polynomial come
+    # out as the quotient by 2t+1, whose content removal leaves no factor 2.
+    ctx = VarCtx(["x", "y"], ["t"])
+    P = lambda src: parse_poly(src, ctx)
+    f = P("x^2 + (2*t+1)*y").scale(ctx.field.one / P("2*t + 1").constant_coeff())
+    g = P("x*y + (2*t+1)*t*y^2")
+    assert s_polynomial(f, g, grevlex()) == P("t*x*y^2 - y^2")
+    h = P("x^2*y + (2*t+1)*t*y^3")
+    assert weak_normal_form(h, PolySet([f], grevlex())) == P("t*y^3 - y^2")
 
 
 def _write_golden():

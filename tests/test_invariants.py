@@ -114,6 +114,15 @@ def test_milnor_local_smooth_origin():
     assert r.dimension == 0 and r.quotient_basis == ()
 
 
+def test_tyurina_local_stops_once_a_unit_enters_the_basis():
+    # df/dy(0) = -4, so tau = 0; the pairs left over once the unit is in the
+    # basis used to take more than a minute of Mora reductions to zero
+    f = P("x^6 + y^6 - 5*x^4*y - 5*x^2*y^3 + 3*y^5 + 4*x^3*y + y^4 - 5*x^3"
+          " - 5*x^2*y + 5*x*y^2 - 4*y")
+    r = tyurina_local(f, step_budget=100)
+    assert r.dimension == 0 and r.leading_monomials == (Monomial((0, 0)),)
+
+
 def test_tyurina_local_weighted_suspension():
     f = P("x^2 + y^3 + z^5 + t^2 + y*z^2 + z^3 + y*z^3 + z^4", "x,y,z,t")
     r1 = tyurina_local(f, neg_grevlex(perm=(3, 2, 1, 0)))
