@@ -1,5 +1,6 @@
-"""Golden outputs: CLI JSON reports and demo transcripts that must stay
-byte-identical across changes to the coefficient arithmetic.
+"""Golden outputs: CLI JSON reports, CLI text output (stdout, stderr and exit
+code) and demo transcripts that must stay byte-identical across changes to
+the coefficient arithmetic and to the CLI.
 
 The stored files were written by an earlier version of the engines; every
 change since must reproduce them exactly.  Regenerate them only for a change
@@ -27,6 +28,7 @@ from localstd.cli import main
 ROOT = Path(__file__).resolve().parent.parent
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CLI_FILE = GOLDEN / "cli_json.json"
+CLI_TEXT_FILE = GOLDEN / "cli_text.json"
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
 
 _Q = "x^4 + 1/4*y^5 - 3/7*x^2*y^2 + 2*x*y^3"
@@ -57,14 +59,39 @@ CLI_CASES += [
     ["std-basis", "--vars", "x,y", "--params", "t", "--json",
      "2*x + t*y^2 + x^2; 3*y^2 + t*x*y + 1/4*y^3"],
     ["verify-stratum", "E8", "W2~6", "--witness", "b=-2/7,c=1/7", "--json"],
+    ["parse", "--vars", "x,y", "--params", "t", "--json", _QT_CONTENT],
+    ["classify", "--vars", "x,y", "--json", "x^3 + x*y^2 + 1/4*y^5"],
+    ["deform", "--vars", "x,y", "--json", "x^3 + y^4 + x*y^2"],
+    ["milnor-orlik", "--vars", "x,y,z", "--json", "x^2*y + y^3 + 1/4*z^5"],
+    ["strata", "E6", "--json"],
+    ["adjacency", "a5-from-e6", "--t", "1,2", "--json"],
+]
+
+# Human-mode output (none of these prints a timing) and one failing run per
+# exit code, with the stderr line it writes.
+CLI_TEXT_CASES = [
+    ["strata", "E6"],
+    ["verify-stratum", "E6", "W2^3", "--seed", "3"],
+    ["adjacency", "a5-from-e6", "--t", "1,2"],
+    ["groebner", "--vars", "x,y", "--params", "t",
+     "x^2 + (2*t+1)*y; x*y + (2*t+1)*t*y^2"],
+    ["parse", "--vars", "x,y", "x + z"],
+    ["milnor", "--vars", "x,y", "--order", "grevlex", "x^2 + y^3"],
+    ["milnor", "--vars", "x,y", "x^2"],
+    ["tyurina", "--vars", "x,y", "--step-budget", "3", "x^3 + y^4 + x*y^2"],
+    ["strata", "Q9"],
+    ["verify-stratum", "E6", "W9"],
 ]
 
 
-def _run_cli(argv):
+def _run_cli(argv, stderr=False):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = main(argv)
-    return {"argv": argv, "exit": rc, "stdout": out.getvalue()}
+    run = {"argv": argv, "exit": rc, "stdout": out.getvalue()}
+    if stderr:
+        run["stderr"] = err.getvalue()
+    return run
 
 
 def _run_demo(path: Path) -> str:
@@ -74,18 +101,27 @@ def _run_demo(path: Path) -> str:
     return proc.stdout
 
 
-def _stored_cli():
-    with open(CLI_FILE, encoding="utf-8") as fh:
+def _stored(path):
+    with open(path, encoding="utf-8") as fh:
         return json.load(fh)
 
 
 @pytest.mark.parametrize("index", range(len(CLI_CASES)))
 def test_cli_json_matches_golden(index):
-    stored = _stored_cli()
+    stored = _stored(CLI_FILE)
     assert len(stored) == len(CLI_CASES)
     want = stored[index]
     assert want["argv"] == CLI_CASES[index]
     assert _run_cli(CLI_CASES[index]) == want
+
+
+@pytest.mark.parametrize("index", range(len(CLI_TEXT_CASES)))
+def test_cli_text_matches_golden(index):
+    stored = _stored(CLI_TEXT_FILE)
+    assert len(stored) == len(CLI_TEXT_CASES)
+    want = stored[index]
+    assert want["argv"] == CLI_TEXT_CASES[index]
+    assert _run_cli(CLI_TEXT_CASES[index], stderr=True) == want
 
 
 @pytest.mark.parametrize("demo", DEMOS, ids=lambda p: p.stem)
@@ -121,6 +157,10 @@ def _write_golden():
     GOLDEN.mkdir(exist_ok=True)
     with open(CLI_FILE, "w", encoding="utf-8") as fh:
         json.dump([_run_cli(argv) for argv in CLI_CASES], fh, indent=1)
+        fh.write("\n")
+    with open(CLI_TEXT_FILE, "w", encoding="utf-8") as fh:
+        json.dump([_run_cli(argv, stderr=True) for argv in CLI_TEXT_CASES],
+                  fh, indent=1)
         fh.write("\n")
     (GOLDEN / "demos").mkdir(exist_ok=True)
     for demo in DEMOS:
