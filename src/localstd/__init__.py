@@ -6,9 +6,9 @@ monomial orders), plus an Arnol'd A/D/E singularity toolkit.
 __version__ = "0.1.0"
 
 from .coeffs import CoeffField
-from .engines import (CriticalPair, OrderClassError, PolySet,
-                      StepBudgetExceeded, buchberger, ecart, normal_form,
-                      s_polynomial, standard_basis, weak_normal_form)
+from .engines import (OrderClassError, PolySet, StepBudgetExceeded,
+                      buchberger, ecart, normal_form, s_polynomial,
+                      standard_basis, weak_normal_form)
 from .invariants import (FusedReport, InvariantReport, NonIsolatedError,
                          degree_bound, is_zero_dimensional, jacobian_ideal,
                          leading_coefficients, milnor_fused, milnor_global,
@@ -28,7 +28,7 @@ from .singularities import (ADJACENCY_KINDS, DeformationFamily,
                             verify_stratum, weight_vector)
 
 __all__ = [
-    "CoeffField", "ContextMismatchError", "CriticalPair", "DeformationFamily",
+    "CoeffField", "ContextMismatchError", "DeformationFamily",
     "FusedReport", "InvariantReport", "Monomial", "MonomialOrder",
     "NonIsolatedError", "OrderClass", "OrderClassError",
     "OrderDefinitionError", "ParseError", "Poly", "PolySet",

@@ -13,6 +13,7 @@ import random
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 
 from . import __version__
 from .engines import (OrderClassError, PolySet, StepBudgetExceeded, buchberger,
@@ -27,8 +28,7 @@ from .singularities import (ADJACENCY_KINDS, SingularityClass,
                             adjacency_target, build_versal_family,
                             classify_simple, hessian_corank, milnor_orlik,
                             sample_witness, special_adjacency_family,
-                            stratum_catalog, tyurina_local as _tyu_local,
-                            verify_stratum, weight_vector)
+                            stratum_catalog, verify_stratum, weight_vector)
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -37,9 +37,14 @@ EXIT_ORDER = 3
 EXIT_NON_ISOLATED = 4
 EXIT_BUDGET = 5
 
-_POLY_COMMANDS = ("parse", "groebner", "std-basis", "milnor", "tyurina",
-                  "poly-milnor", "poly-tyurina", "milnor-fused",
-                  "tyurina-fused", "classify", "deform", "milnor-orlik")
+# (exception types, exit code, stderr prefix); the first match wins.
+_ERRORS = [
+    (ParseError, EXIT_PARSE, "parse error: "),
+    ((OrderClassError, OrderDefinitionError), EXIT_ORDER, "order error: "),
+    (NonIsolatedError, EXIT_NON_ISOLATED, ""),
+    (StepBudgetExceeded, EXIT_BUDGET, ""),
+    ((ValueError, KeyError, ZeroDivisionError, RuntimeError), EXIT_ERROR, "error: "),
+]
 
 
 def _build_argparser() -> argparse.ArgumentParser:
@@ -70,28 +75,39 @@ def _build_argparser() -> argparse.ArgumentParser:
         p.add_argument("--step-budget", type=int, default=None,
                        help="reduction step budget (default %s or "
                             "$LOCALSTD_STEP_BUDGET)" % "10^6")
-        p.add_argument("--seed", type=int, default=0, help="RNG seed")
         return p
 
-    for name, help_ in [
-            ("parse", "parse and echo the canonical form"),
-            ("groebner", "Groebner basis of ';'-separated generators"),
-            ("std-basis", "Mora standard basis of ';'-separated generators"),
-            ("milnor", "Milnor number of the origin (local order)"),
-            ("tyurina", "Tyurina number of the origin (local order)"),
-            ("poly-milnor", "Milnor number of the polynomial (global order)"),
-            ("poly-tyurina", "Tyurina number of the polynomial (global order)"),
-            ("milnor-fused", "global then seeded local Milnor run"),
-            ("tyurina-fused", "global then seeded local Tyurina run"),
-            ("classify", "Arnol'd class of the singular point at the origin"),
-            ("deform", "versal deformation family from the Tyurina basis"),
-            ("milnor-orlik", "Milnor number from rational weights"),
+    for name, help_, func in [
+            ("parse", "parse and echo the canonical form", _cmd_parse),
+            ("groebner", "Groebner basis of ';'-separated generators",
+             partial(_cmd_basis, False)),
+            ("std-basis", "Mora standard basis of ';'-separated generators",
+             partial(_cmd_basis, True)),
+            ("milnor", "Milnor number of the origin (local order)",
+             partial(_cmd_invariant, milnor_local)),
+            ("tyurina", "Tyurina number of the origin (local order)",
+             partial(_cmd_invariant, tyurina_local)),
+            ("poly-milnor", "Milnor number of the polynomial (global order)",
+             partial(_cmd_invariant, milnor_global)),
+            ("poly-tyurina", "Tyurina number of the polynomial (global order)",
+             partial(_cmd_invariant, tyurina_global)),
+            ("milnor-fused", "global then seeded local Milnor run",
+             partial(_cmd_fused, milnor_fused)),
+            ("tyurina-fused", "global then seeded local Tyurina run",
+             partial(_cmd_fused, tyurina_fused)),
+            ("classify", "Arnol'd class of the singular point at the origin",
+             _cmd_classify),
+            ("deform", "versal deformation family from the Tyurina basis",
+             _cmd_deform),
+            ("milnor-orlik", "Milnor number from rational weights",
+             _cmd_milnor_orlik),
     ]:
-        add_poly_command(name, help_)
+        add_poly_command(name, help_).set_defaults(func=func)
 
     p = sub.add_parser("strata", help="stratification catalog of a class")
     p.add_argument("cls", help="singularity class, e.g. D6, E7")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_strata)
 
     p = sub.add_parser("verify-stratum", help="verify a stratum at a witness")
     p.add_argument("cls", help="singularity class, e.g. E6")
@@ -102,6 +118,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
     p.add_argument("--step-budget", type=int, default=None)
+    p.set_defaults(func=_cmd_verify_stratum)
 
     p = sub.add_parser("adjacency", help="special 1-parameter adjacency family")
     p.add_argument("kind", help="one of: %s" % ", ".join(ADJACENCY_KINDS))
@@ -109,6 +126,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     p.add_argument("--t", default=None,
                    help="comma-separated rational values to classify at")
     p.add_argument("--json", action="store_true")
+    p.set_defaults(func=_cmd_adjacency)
     return ap
 
 
@@ -138,14 +156,17 @@ def _frac(text: str) -> Fraction:
     return Fraction(text.strip())
 
 
-def _emit(args, payload: dict, human: str):
+def _emit(args, payload, human: str, invocation=None):
+    """Write the JSON document or the human text; invocation defaults to the
+    command, the version and the --vars/--params given."""
     if args.json:
-        meta = {"command": args.command, "version": __version__}
-        for key in ("vars", "params"):
-            if getattr(args, key, None):
-                meta[key] = getattr(args, key)
-        doc = {"invocation": meta, "result": payload}
-        sys.stdout.write(json.dumps(doc, indent=2, sort_keys=False) + "\n")
+        if invocation is None:
+            invocation = {"command": args.command, "version": __version__}
+            for key in ("vars", "params"):
+                if getattr(args, key, None):
+                    invocation[key] = getattr(args, key)
+        doc = {"invocation": invocation, "result": payload}
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
     else:
         sys.stdout.write(human + "\n")
 
@@ -170,7 +191,7 @@ def _cmd_parse(args):
     return EXIT_OK
 
 
-def _cmd_basis(args, local: bool):
+def _cmd_basis(local: bool, args):
     ctx = _context(args)
     gens = [parse_poly(chunk, ctx)
             for chunk in _load_source(args).split(";") if chunk.strip()]
@@ -190,11 +211,9 @@ def _cmd_basis(args, local: bool):
     return EXIT_OK
 
 
-def _cmd_invariant(args):
+def _cmd_invariant(fn, args):
     ctx = _context(args)
     f = parse_poly(_load_source(args), ctx)
-    fn = {"milnor": milnor_local, "tyurina": tyurina_local,
-          "poly-milnor": milnor_global, "poly-tyurina": tyurina_global}[args.command]
     orders = _orders(args, ctx, 1)
     t0 = time.perf_counter()
     report = fn(f, orders[0] if orders else None, step_budget=args.step_budget)
@@ -205,10 +224,9 @@ def _cmd_invariant(args):
     return EXIT_OK
 
 
-def _cmd_fused(args):
+def _cmd_fused(fn, args):
     ctx = _context(args)
     f = parse_poly(_load_source(args), ctx)
-    fn = milnor_fused if args.command == "milnor-fused" else tyurina_fused
     orders = _orders(args, ctx, 2)
     local = orders[0] if len(orders) >= 1 else None
     global_ = orders[1] if len(orders) >= 2 else None
@@ -226,7 +244,7 @@ def _cmd_classify(args):
     ctx = _context(args)
     f = parse_poly(_load_source(args), ctx)
     mu = milnor_local(f, step_budget=args.step_budget).dimension
-    tau = _tyu_local(f, step_budget=args.step_budget).dimension
+    tau = tyurina_local(f, step_budget=args.step_budget).dimension
     crk = hessian_corank(f)
     cls = classify_simple(f, mu=mu)
     payload = {"class": cls.name if cls else None, "mu": mu, "tau": tau,
@@ -274,12 +292,8 @@ def _cmd_strata(args):
         lines.append("%-12s -> %s (mu=%d)" % (s.name, s.expected.name, s.expected_mu))
         for eq in s.equations:
             lines.append("    0 = " + eq)
-    if args.json:
-        sys.stdout.write(json.dumps(
-            {"invocation": {"command": "strata", "class": cls.name},
-             "result": payload}, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    _emit(args, payload, "\n".join(lines),
+          {"command": "strata", "class": cls.name})
     return EXIT_OK
 
 
@@ -304,12 +318,7 @@ def _cmd_verify_stratum(args):
         "OK" if rec.ok else "MISMATCH", stratum.name,
         {k: str(v) for k, v in rec.witness.items()}, rec.mu, rec.tau,
         rec.corank, rec.classified)
-    if args.json:
-        sys.stdout.write(json.dumps(
-            {"invocation": {"command": "verify-stratum", "class": cls.name},
-             "result": payload}, indent=2) + "\n")
-    else:
-        sys.stdout.write(human + "\n")
+    _emit(args, payload, human, {"command": "verify-stratum", "class": cls.name})
     return EXIT_OK if rec.ok else EXIT_ERROR
 
 
@@ -330,55 +339,21 @@ def _cmd_adjacency(args):
                            "class": cls.name if cls else None})
             lines.append("t=%s: mu=%d class=%s" % (tv, mu, cls))
         payload["checks"] = checks
-    if args.json:
-        sys.stdout.write(json.dumps(
-            {"invocation": {"command": "adjacency", "kind": args.kind},
-             "result": payload}, indent=2) + "\n")
-    else:
-        sys.stdout.write("\n".join(lines) + "\n")
+    _emit(args, payload, "\n".join(lines),
+          {"command": "adjacency", "kind": args.kind})
     return EXIT_OK
 
 
 def main(argv=None) -> int:
-    ap = _build_argparser()
-    args = ap.parse_args(argv)
+    args = _build_argparser().parse_args(argv)
     try:
-        if args.command == "parse":
-            return _cmd_parse(args)
-        if args.command in ("groebner", "std-basis"):
-            return _cmd_basis(args, local=args.command == "std-basis")
-        if args.command in ("milnor", "tyurina", "poly-milnor", "poly-tyurina"):
-            return _cmd_invariant(args)
-        if args.command in ("milnor-fused", "tyurina-fused"):
-            return _cmd_fused(args)
-        if args.command == "classify":
-            return _cmd_classify(args)
-        if args.command == "deform":
-            return _cmd_deform(args)
-        if args.command == "milnor-orlik":
-            return _cmd_milnor_orlik(args)
-        if args.command == "strata":
-            return _cmd_strata(args)
-        if args.command == "verify-stratum":
-            return _cmd_verify_stratum(args)
-        if args.command == "adjacency":
-            return _cmd_adjacency(args)
-        raise AssertionError("unhandled command %r" % args.command)
-    except ParseError as exc:
-        sys.stderr.write("localstd: parse error: %s\n" % exc)
-        return EXIT_PARSE
-    except (OrderClassError, OrderDefinitionError) as exc:
-        sys.stderr.write("localstd: order error: %s\n" % exc)
-        return EXIT_ORDER
-    except NonIsolatedError as exc:
-        sys.stderr.write("localstd: %s\n" % exc)
-        return EXIT_NON_ISOLATED
-    except StepBudgetExceeded as exc:
-        sys.stderr.write("localstd: %s\n" % exc)
-        return EXIT_BUDGET
-    except (ValueError, KeyError, ZeroDivisionError, RuntimeError) as exc:
-        sys.stderr.write("localstd: error: %s\n" % exc)
-        return EXIT_ERROR
+        return args.func(args)
+    except Exception as exc:
+        for types, code, prefix in _ERRORS:
+            if isinstance(exc, types):
+                sys.stderr.write("localstd: %s%s\n" % (prefix, exc))
+                return code
+        raise
 
 
 if __name__ == "__main__":

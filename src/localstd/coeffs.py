@@ -91,30 +91,6 @@ class CoeffField:
         q = num / den
         return Fraction(int(q.numerator), int(q.denominator))
 
-    # -- numerator / denominator views ----------------------------------
-
-    def numer_terms(self, c):
-        """Terms of the numerator as (param-exponent tuple, Fraction) pairs."""
-        if not self.params:
-            return [((), Fraction(int(c.numerator), int(c.denominator)))]
-        out = []
-        for exps, q in c.numer.terms():
-            out.append((tuple(exps), Fraction(int(q.numerator), int(q.denominator))))
-        return out
-
-    def denom_terms(self, c):
-        if not self.params:
-            return [((), Fraction(1))]
-        out = []
-        for exps, q in c.denom.terms():
-            out.append((tuple(exps), Fraction(int(q.numerator), int(q.denominator))))
-        return out
-
-    def has_param_denominator(self, c) -> bool:
-        if not self.params:
-            return False
-        return not c.denom.is_ground
-
     # -- content normalization ------------------------------------------
 
     def common_unit(self, coeffs):
@@ -292,7 +268,7 @@ class CoeffField:
         """
         if not self.params:
             return _frac_str(Fraction(int(c.numerator), int(c.denominator)))
-        if self.has_param_denominator(c):
+        if not c.denom.is_ground:
             return "(%s)/(%s)" % (self._poly_str(c.numer, Fraction(1)),
                                   self._poly_str(c.denom, Fraction(1)))
         den = Fraction(int(c.denom.LC.numerator), int(c.denom.LC.denominator))

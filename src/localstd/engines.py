@@ -77,25 +77,11 @@ class PolySet:
     def leading_monomials(self) -> list[Monomial]:
         return [p.leading_monomial(self.order) for p in self.elements]
 
-    def with_order(self, order: MonomialOrder) -> "PolySet":
-        return PolySet(self.elements, order)
-
     def __iter__(self):
         return iter(self.elements)
 
     def __len__(self):
         return len(self.elements)
-
-
-@dataclass(frozen=True)
-class CriticalPair:
-    i: int
-    j: int
-    lcm: Monomial
-
-    def __post_init__(self):
-        if not self.i < self.j:
-            raise ValueError("pair indices must satisfy i < j")
 
 
 class _Budget:
@@ -416,11 +402,7 @@ def buchberger(F: PolySet, step_budget: Optional[int] = None,
     if order.classify(F.ctx.arity) is not OrderClass.GLOBAL:
         raise OrderClassError("buchberger requires a global monomial order")
     budget = _Budget(step_budget)
-
-    def reducer(p, gens, o, b):
-        return _reduce_full(p, gens, o, b)
-
-    basis = _completion(F.elements, order, reducer, budget)
+    basis = _completion(F.elements, order, _reduce_full, budget)
     basis = _minimalize(basis, order)
     if interreduce:
         basis = _interreduce(basis, order, budget)
@@ -437,11 +419,7 @@ def standard_basis(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
     if cls is OrderClass.MIXED:
         raise OrderClassError("standard_basis rejects mixed monomial orders")
     budget = _Budget(step_budget)
-
-    def reducer(p, gens, o, b):
-        return _weak_nf(p, gens, o, b)
-
-    basis = _completion(F.elements, order, reducer, budget)
+    basis = _completion(F.elements, order, _weak_nf, budget)
     basis = _minimalize(basis, order)
     basis = _normalize_output(basis, order)
     return PolySet(basis, order)

@@ -154,19 +154,10 @@ def _collect_assumptions(basis: PolySet):
         lc = p.leading_coefficient(basis.order)
         if field.is_constant(lc):
             continue
-        canon = _canonical_assumption(field, lc)
+        canon = field.canonical_assumption(lc)
         if canon not in seen:
             seen.append(canon)
     return tuple(sorted(seen, key=field.to_str))
-
-
-def _canonical_assumption(field, lc):
-    return field.canonical_assumption(lc)
-
-
-def assumption_equivalent(field, a, b) -> bool:
-    """Equality of genericity assumptions up to a nonzero rational scale."""
-    return _canonical_assumption(field, a) == _canonical_assumption(field, b)
 
 
 def _require_class(order: MonomialOrder, arity: int, wanted: OrderClass, what: str):

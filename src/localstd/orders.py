@@ -107,12 +107,6 @@ class MonomialOrder:
             return OrderClass.LOCAL
         return OrderClass.MIXED
 
-    def is_global(self, arity: int) -> bool:
-        return self.classify(arity) is OrderClass.GLOBAL
-
-    def is_local(self, arity: int) -> bool:
-        return self.classify(arity) is OrderClass.LOCAL
-
     def opposite(self) -> "MonomialOrder":
         flip = {"grevlex": "neg_grevlex", "neg_grevlex": "grevlex",
                 "lex": "neg_lex", "neg_lex": "lex"}
@@ -204,8 +198,3 @@ def parse_order(spec: str, variables) -> MonomialOrder:
     # validate the fit against the arity right away
     order.sort_key((0,) * len(list(variables)))
     return order
-
-
-def leading_term(p, order: MonomialOrder):
-    """(coefficient, monomial) of the maximal term of p under the order."""
-    return p.leading_term(order)

@@ -197,12 +197,11 @@ def _hessian_matrix(f: Poly):
     return H
 
 
-def _rank(mat, field) -> int:
+def _rank(mat) -> int:
     """Exact rank by Gaussian elimination over the coefficient field; with
     parameters present this is the generic rank."""
     m = [row[:] for row in mat]
     rows, cols = len(m), len(m[0]) if m else 0
-    rank = 0
     r = 0
     for c in range(cols):
         pr = next((i for i in range(r, rows) if m[i][c]), None)
@@ -214,15 +213,14 @@ def _rank(mat, field) -> int:
             if m[i][c]:
                 fac = m[i][c] / pv
                 m[i] = [a - fac * b for a, b in zip(m[i], m[r])]
-        rank += 1
         r += 1
-    return rank
+    return r
 
 
 def hessian_corank(f: Poly) -> int:
     """Arity minus the rank of the Hessian at the origin (generic rank when
     parameters are present)."""
-    return f.ctx.arity - _rank(_hessian_matrix(f), f.ctx.field)
+    return f.ctx.arity - _rank(_hessian_matrix(f))
 
 
 def _quadratic_kernel_change(f: Poly):
@@ -262,10 +260,7 @@ def _quadratic_kernel_change(f: Poly):
             else:
                 off = next((j for j in range(k + 1, n) if M[k][j]), None)
                 if off is None:
-                    # row/col k already zero beyond: move on if fully zero
-                    if all(not M[k][j] for j in range(k, n)):
-                        k += 1
-                        continue
+                    # row k is zero from column k on: nothing to pivot
                     k += 1
                     continue
                 add_col(k, off, field.one)

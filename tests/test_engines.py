@@ -270,14 +270,6 @@ def test_polyset_validation():
     assert len(ps) == 2
 
 
-def test_critical_pair_orders_indices():
-    from localstd import CriticalPair, Monomial
-    cp = CriticalPair(0, 2, Monomial((1, 1)))
-    assert (cp.i, cp.j) == (0, 2)
-    with pytest.raises(ValueError):
-        CriticalPair(2, 2, Monomial((1, 1)))
-
-
 def test_buchberger_full_interreduction():
     gens = [P("x^2 - y", XY), P("x*y - 1", XY)]
     G = buchberger(PolySet(gens, grevlex()), interreduce=True)

@@ -160,8 +160,8 @@ def test_coefficients_are_reduced_fractions():
     assert c == l + f.one  # cancelled eagerly
     d = l / f.from_fraction(-2)
     # denominator sign is canonical: the numerator carries the sign
-    assert f.denom_terms(d) == [((0,), Fraction(2))]
-    assert f.numer_terms(d) == [((1,), Fraction(-1))]
+    assert d.denom.terms() == [((0,), Fraction(2))]
+    assert d.numer.terms() == [((1,), Fraction(-1))]
 
 
 def test_constant_coefficients_collapse():
