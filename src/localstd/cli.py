@@ -43,7 +43,8 @@ _ERRORS = [
     ((OrderClassError, OrderDefinitionError), EXIT_ORDER, "order error: "),
     (NonIsolatedError, EXIT_NON_ISOLATED, ""),
     (StepBudgetExceeded, EXIT_BUDGET, ""),
-    ((ValueError, KeyError, ZeroDivisionError, RuntimeError), EXIT_ERROR, "error: "),
+    ((ValueError, KeyError, ZeroDivisionError, RuntimeError, OSError), EXIT_ERROR,
+     "error: "),
 ]
 
 
@@ -73,8 +74,7 @@ def _build_argparser() -> argparse.ArgumentParser:
                             "flag twice (local first, then global).")
         p.add_argument("--json", action="store_true", help="JSON output")
         p.add_argument("--step-budget", type=int, default=None,
-                       help="reduction step budget (default %s or "
-                            "$LOCALSTD_STEP_BUDGET)" % "10^6")
+                       help="reduction step budget (default 10^6)")
         return p
 
     for name, help_, func in [
@@ -351,7 +351,9 @@ def main(argv=None) -> int:
     except Exception as exc:
         for types, code, prefix in _ERRORS:
             if isinstance(exc, types):
-                sys.stderr.write("localstd: %s%s\n" % (prefix, exc))
+                # str() of a KeyError is the repr of its message.
+                msg = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+                sys.stderr.write("localstd: %s%s\n" % (prefix, msg))
                 return code
         raise
 

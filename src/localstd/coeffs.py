@@ -8,10 +8,12 @@ rationals, which run a gcd on every operation.
 The completion engines therefore compute in the ring beneath the field:
 plain Python ints for Q, and Z[l1, ..., lr] (sympy ring elements, lex order,
 the field's generator order) for Q(l1, ..., lr).  ``to_ring`` clears
-denominators, ``from_ring`` maps back, and ``ring_primitive`` reproduces on
-ring elements the content normalization that ``common_unit`` performs in the
-field.  This module wraps both behind one small API so the rest of the
-package never touches sympy directly.
+denominators, ``from_ring`` maps back, and ``ring_primitive`` is the one
+content normalization: it divides ring elements by their gcd, integer content
+included, which leaves them primitive and unique up to the sign it fixes.
+``common_unit`` derives the field's normalization from it.  This module wraps
+both behind one small API so the rest of the package never touches sympy
+directly.
 """
 
 from __future__ import annotations
@@ -95,17 +97,16 @@ class CoeffField:
 
     def common_unit(self, coeffs):
         """A unit u of the field such that dividing every c in coeffs by u
-        leaves integer-coefficient numerators over denominator one, with a
-        positive leading coefficient on the first one.  Used to keep basis
-        elements in primitive form.
+        leaves primitive integer-coefficient numerators over denominator one,
+        with a positive leading coefficient on the first one.  Used to keep
+        basis elements in primitive form.
 
         Over Q, u is the content (gcd of numerators over lcm of denominators)
-        and the quotients are coprime integers.  Over Q(params), u is the
-        *monic* gcd over Q[params] of the cleared numerators times their
-        integer content.  With G the gcd over Z[params] of the cleared
-        numerators n, each quotient is (n / G) * (LC(G) / content(G)), so the
-        result need not be primitive: (2t+1, 2t^2+t) becomes (2, 2t), not
-        (1, t).  See ``ring_primitive``, which computes it.
+        and the quotients are coprime integers.  Over Q(params), u is the gcd
+        over Z[params] of the cleared numerators, integer content included,
+        over the common denominator, so the quotients have no common factor:
+        (2t+1, 2t^2+t) becomes (1, t).  See ``ring_primitive``, which
+        computes it.
         """
         coeffs = [c for c in coeffs if c]
         if not coeffs:
@@ -175,38 +176,18 @@ class CoeffField:
         return g
 
     def ring_primitive(self, lead, coeffs):
-        """What dividing by ``common_unit`` makes of the ring coefficients in
-        the field, or None when they stay as they are.
-
-        With g their gcd, each c becomes (c / g) * k, where k = LC(g) /
-        content(g) over Z[params] and k = 1 over Z, negated when that leaves
-        a negative leading coefficient on lead.
-        """
+        """The ring elements coeffs divided by their gcd, negated when that
+        leaves a negative leading coefficient on lead, or None when they stay
+        as they are.  The result is primitive, so it is the same for every
+        nonzero multiple of coeffs by a ring element."""
         g = self.ring_gcd(coeffs)
         if not self.params:
             if lead < 0:
                 g = -g
             return None if g == 1 else [c // g for c in coeffs]
-        k = g.LC // g.content()
         if lead.LC < 0:
-            k = -k
-        if g == 1 and k == 1:
-            return None
-        out = [_exquo(c, g) for c in coeffs]
-        return out if k == 1 else [c * k for c in out]
-
-    def ring_cancel(self, den, coeffs):
-        """The ring coefficients divided by the factor of gcd(den, coeffs)
-        that involves a parameter, or None when there is none.
-
-        That gives what dividing by den in the field gives, as far as
-        ``ring_primitive`` can tell: an integer factor does not change its
-        result, a parametric one changes the factor k it multiplies by.
-        """
-        if not self.params or den == 1 or den.is_ground:
-            return None
-        g = self.ring_gcd([den, *coeffs])
-        return None if g.is_ground else [_exquo(c, g) for c in coeffs]
+            g = -g
+        return None if g == 1 else [_exquo(c, g) for c in coeffs]
 
     def canonical_assumption(self, c):
         """Canonical representative of the vanishing locus of c: the integer

@@ -11,13 +11,13 @@ Z[params]; see ``coeffs``): denominators are cleared once on the way in and
 the results are mapped back to the field on the way out.  Such ring
 polynomials are ``Poly`` objects whose coefficients are ring elements; only
 arithmetic, equality and leading terms apply to them, and ``_primitive``
-stands in for ``Poly.primitive``.  It reproduces it exactly, so every
-intermediate polynomial equals the one a field computation would give.
+stands in for ``Poly.primitive``.  A field computation would give the same
+intermediate polynomials up to a unit; zero tests, leading monomials and
+ecarts do not see the unit, so both take the same steps.
 """
 
 from __future__ import annotations
 
-import os
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
@@ -25,17 +25,6 @@ from .orders import MonomialOrder, OrderClass
 from .poly import Monomial, Poly
 
 DEFAULT_STEP_BUDGET = 10 ** 6
-_BUDGET_ENV = "LOCALSTD_STEP_BUDGET"
-
-
-def default_step_budget() -> int:
-    raw = os.environ.get(_BUDGET_ENV)
-    if raw:
-        try:
-            return max(1, int(raw))
-        except ValueError:
-            pass
-    return DEFAULT_STEP_BUDGET
 
 
 class OrderClassError(ValueError):
@@ -88,7 +77,7 @@ class _Budget:
     __slots__ = ("left",)
 
     def __init__(self, steps: Optional[int]):
-        self.left = default_step_budget() if steps is None else steps
+        self.left = DEFAULT_STEP_BUDGET if steps is None else steps
 
     def tick(self, n: int = 1):
         self.left -= n
@@ -113,23 +102,13 @@ def _from_ring(p: Poly) -> Poly:
 
 
 def _primitive(p: Poly, order: MonomialOrder) -> Poly:
-    """Poly.primitive for ring coefficients: the same polynomial, content
-    removed and sign fixed on the leading term."""
+    """Poly.primitive for ring coefficients: p up to a unit, divided by the
+    gcd of its coefficients and sign fixed on the leading term.  The result
+    is primitive, so p and every unit multiple of it give the same one."""
     if p.is_zero():
         return p
     coeffs = p.ctx.field.ring_primitive(p.leading_coefficient(order),
                                         [c for _, c in p.items()])
-    return p if coeffs is None else Poly(p.ctx, dict(zip(p.monomials(), coeffs)))
-
-
-def _cancel(p: Poly, den) -> Poly:
-    """p / den as far as _primitive can tell (see CoeffField.ring_cancel).
-
-    Content removal over Q(params) depends on how a polynomial is written, not
-    only on the ideal it spans, so a quotient that the field would have formed
-    must be formed here too before _primitive.
-    """
-    coeffs = p.ctx.field.ring_cancel(den, [c for _, c in p.items()])
     return p if coeffs is None else Poly(p.ctx, dict(zip(p.monomials(), coeffs)))
 
 
@@ -138,22 +117,21 @@ def _cancel(p: Poly, den) -> Poly:
 # ---------------------------------------------------------------------------
 
 def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    """Cross-multiplied S-polynomial; the shared leading monomial cancels."""
+    """Cross-multiplied S-polynomial, made primitive; the shared leading
+    monomial cancels."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial")
-    (fr, df), (gr, dg) = _to_ring(f), _to_ring(g)
-    return _from_ring(_spoly(fr, gr, order, df * dg))
+    return _from_ring(_spoly(_to_ring(f)[0], _to_ring(g)[0], order))
 
 
-def _spoly(f: Poly, g: Poly, order: MonomialOrder, den=1) -> Poly:
-    """s_polynomial of f / den_f and g / den_g, on ring coefficients, with
-    den = den_f * den_g."""
+def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
+    """s_polynomial on ring coefficients."""
     cf, mf = f.leading_term(order)
     cg, mg = g.leading_term(order)
     l = mf.lcm(mg)
     a = f.mul_term(cg, l.quo(mf))
     b = g.mul_term(cf, l.quo(mg))
-    return _primitive(_cancel(a - b, den), order)
+    return _primitive(a - b, order)
 
 
 def ecart(f: Poly, order: MonomialOrder) -> int:
@@ -211,9 +189,9 @@ def _divide(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget):
 
 
 def _reduce_full(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -> Poly:
-    """The remainder r / u of _divide, as far as _primitive can tell."""
-    r, u = _divide(f, gens, order, budget)
-    return _cancel(r, u)
+    """The remainder of _divide: up to a unit, the one division over the
+    field gives."""
+    return _divide(f, gens, order, budget)[0]
 
 
 def weak_normal_form(f: Poly, G: PolySet, step_budget: Optional[int] = None) -> Poly:
@@ -228,21 +206,17 @@ def weak_normal_form(f: Poly, G: PolySet, step_budget: Optional[int] = None) -> 
     if order.classify(f.ctx.arity) is OrderClass.MIXED:
         raise OrderClassError("weak_normal_form rejects mixed monomial orders")
     budget = _Budget(step_budget)
-    fr, den = _to_ring(f)
-    gens, dens = zip(*(_to_ring(g) for g in G))
-    h = _weak_nf(fr, list(gens), order, budget, (den, *dens))
+    fr = _to_ring(f)[0]
+    h = _weak_nf(fr, [_to_ring(g)[0] for g in G], order, budget)
     return f if h is fr else _from_ring(h)
 
 
-def _weak_nf(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget,
-             dens=None) -> Poly:
-    """Weak normal form on ring coefficients; dens, when given, holds the
-    denominators cleared from f and from each of gens."""
+def _weak_nf(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -> Poly:
+    """Weak normal form on ring coefficients."""
     h = f
     pool = list(gens)
     pool_lm = [g.leading_monomial(order) for g in pool]
     pool_ecart = [ecart(g, order) for g in pool]
-    h_den, *pool_den = dens or [1] * (len(pool) + 1)
     while h:
         budget.tick()
         mh = h.leading_monomial(order)
@@ -259,9 +233,7 @@ def _weak_nf(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget,
             pool.append(h)
             pool_lm.append(mh)
             pool_ecart.append(eh)
-            pool_den.append(h_den)
-        h = _spoly(h, pool[best], order, h_den * pool_den[best])
-        h_den = 1
+        h = _spoly(h, pool[best], order)
     return h
 
 
@@ -383,16 +355,11 @@ def _minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
 
 
 def _normalize_output(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
-    """Monic for numeric leading coefficients; parametric ones left intact."""
-    out = []
-    for p in basis:
-        field = p.ctx.field
-        lc = p.leading_coefficient(order)
-        if field.is_constant(lc):
-            out.append(p.monic(order))
-        else:
-            out.append(p.primitive(order))
-    return out
+    """Monic for numeric leading coefficients.  An element with a parametric
+    one is left as completion returns it: primitive over Z[params], which
+    fixes it up to a unit."""
+    return [p.monic(order) if p.ctx.field.is_constant(p.leading_coefficient(order))
+            else p for p in basis]
 
 
 def buchberger(F: PolySet, step_budget: Optional[int] = None,

@@ -420,7 +420,6 @@ class Stratum:
     witness_params: tuple[str, ...]
     side_conditions: tuple[str, ...] = ()
     v_point: tuple[tuple[str, str], ...] = ()
-    v_names: tuple[str, ...] = ()
     notes: str = ""
     flagged_variants: tuple[str, ...] = ()
 
@@ -486,7 +485,6 @@ def _an_catalog(n: int) -> list[Stratum]:
             expected=SingularityClass("A", m), expected_mu=m,
             equations=eqs, family_src=src, witness_params=params,
             side_conditions=side, v_point=vpt,
-            v_names=tuple("v%d" % k for k in range(2, n + 1)),
         ))
     return strata
 
@@ -504,21 +502,19 @@ def _dn_catalog(n: int) -> list[Stratum]:
                 base + " + v0*Y*Z + v1*Y^2" + tail(2),
                 tuple("v%d" % k for k in range(0, n - 1)),
                 side_conditions=(w2,),
-                v_point=tuple((v, v) for v in vnames), v_names=vnames),
+                v_point=tuple((v, v) for v in vnames)),
         Stratum("W2", SingularityClass("A", 2), 2, (w2,),
                 base + " + (w1*Y + w2*Z)^2" + tail(3),
                 ("w1", "w2") + tuple("v%d" % k for k in range(3, n - 1)),
                 side_conditions=("w1", "w2") + (("w2^2 + v3*w1^2",) if n >= 5 else ()),
                 v_point=(("v0", "2*w1*w2"), ("v1", "w1^2"), ("v2", "w2^2"))
-                + tuple(("v%d" % k, "v%d" % k) for k in range(3, n - 1)),
-                v_names=vnames),
+                + tuple(("v%d" % k, "v%d" % k) for k in range(3, n - 1))),
         Stratum("V0&V1", SingularityClass("A", 3), 3, ("v0", "v1"),
                 base + tail(2),
                 tuple("v%d" % k for k in range(2, n - 1)),
                 side_conditions=("v2",),
                 v_point=(("v0", "0"), ("v1", "0"))
-                + tuple(("v%d" % k, "v%d" % k) for k in range(2, n - 1)),
-                v_names=vnames),
+                + tuple(("v%d" % k, "v%d" % k) for k in range(2, n - 1))),
     ]
     if n >= 5:
         strata.append(Stratum(
@@ -530,8 +526,7 @@ def _dn_catalog(n: int) -> list[Stratum]:
                              "v1*v4 - s^2" if n >= 6 else "v1 - s^2"),
             v_point=(("v0", "2*v1*s"), ("v1", "v1"), ("v2", "v1*s^2"),
                      ("v3", "-s^2"))
-            + tuple(("v%d" % k, "v%d" % k) for k in range(4, n - 1)),
-            v_names=vnames))
+            + tuple(("v%d" % k, "v%d" % k) for k in range(4, n - 1))))
     # V chain: D_{k+2} on V0^k
     for k in range(2, n - 1):
         params = tuple("v%d" % j for j in range(k + 1, n - 1))
@@ -541,8 +536,7 @@ def _dn_catalog(n: int) -> list[Stratum]:
             tuple("v%d" % j for j in range(0, k + 1)),
             base + tail(k + 1), params, side_conditions=side,
             v_point=tuple(("v%d" % j, "0") for j in range(0, k + 1))
-            + tuple(("v%d" % j, "v%d" % j) for j in range(k + 1, n - 1)),
-            v_names=vnames))
+            + tuple(("v%d" % j, "v%d" % j) for j in range(k + 1, n - 1))))
     if n >= 6:
         strata.append(Stratum(
             "W2^4", SingularityClass("A", 4), 4,
@@ -552,15 +546,14 @@ def _dn_catalog(n: int) -> list[Stratum]:
             side_conditions=("w1", "w4") + (("w1^2*v5 + w4^2",) if n >= 7 else ()),
             v_point=(("v0", "-2*w1^3*w4"), ("v1", "w1^2"), ("v2", "w1^4*w4^2"),
                      ("v3", "-w1^2*w4^2"), ("v4", "w4^2"))
-            + tuple(("v%d" % k, "v%d" % k) for k in range(5, n - 1)),
-            v_names=vnames))
+            + tuple(("v%d" % k, "v%d" % k) for k in range(5, n - 1))))
     if n == 6:
         strata.append(Stratum(
             "W2^5", SingularityClass("A", 5), 5,
             (w2, "v1*v3 + v2", "v1*v4 + v3", "v1 + v4"),
             "Z*Y^2 - Z^5 - v1*(Y + v1*Z)^2 - v1^2*Z^3 - v1*Z^4",
             ("v1",), side_conditions=("v1",),
-            v_point=(), v_names=vnames,
+            v_point=(),
             notes=("stratum has no nonzero rational points; witness family is "
                    "the complex-branch parameterization composed with the "
                    "rational linear change (Y,Z)->(iY,-Z)")))
@@ -576,27 +569,24 @@ def _e6_catalog() -> list[Stratum]:
         Stratum("L", SingularityClass("A", 1), 1, (),
                 base + " + v0*Y*Z + v1*Y^2 + v2*Z^2 + v3*Y*Z^2 + v4*Z^3",
                 vnames, side_conditions=(w2,),
-                v_point=tuple((v, v) for v in vnames), v_names=vnames),
+                v_point=tuple((v, v) for v in vnames)),
         Stratum("W2", SingularityClass("A", 2), 2, (w2,),
                 base + " + (w1*Y + w2*Z)^2 + v3*Y*Z^2 + v4*Z^3",
                 ("w1", "w2", "v3", "v4"),
                 side_conditions=("w1", "w2", "w1^3*v4 - w1^2*w2*v3 - w2^3"),
                 v_point=(("v0", "2*w1*w2"), ("v1", "w1^2"), ("v2", "w2^2"),
-                         ("v3", "v3"), ("v4", "v4")),
-                v_names=vnames),
+                         ("v3", "v3"), ("v4", "v4"))),
         Stratum("W2^3", SingularityClass("A", 3), 3, (w2, w3),
                 base + " + v1*(Y + u*Z)^2 + v3*Y*Z^2 + u*(v3 + u^2)*Z^3",
                 ("v1", "u", "v3"),
                 side_conditions=("v1", "u", "4*v1 - (v3 + 3*u^2)^2"),
                 v_point=(("v0", "2*v1*u"), ("v1", "v1"), ("v2", "v1*u^2"),
-                         ("v3", "v3"), ("v4", "u*(v3 + u^2)")),
-                v_names=vnames),
+                         ("v3", "v3"), ("v4", "u*(v3 + u^2)"))),
         Stratum("V0^2", SingularityClass("D", 4), 4, ("v0", "v1", "v2"),
                 base + " + v3*Y*Z^2 + v4*Z^3", ("v3", "v4"),
                 side_conditions=("4*v3^3 + 27*v4^2",),
                 v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "v3"), ("v4", "v4")),
-                v_names=vnames),
+                         ("v3", "v3"), ("v4", "v4"))),
         Stratum("W2^4", SingularityClass("A", 4), 4,
                 (w2, w3, "4*v1^3 - (v1*v3 + 3*v2)^2"),
                 base + " + 1/4*(3*u^2 + v3)^2*(Y + u*Z)^2 + v3*Y*Z^2 + u*(v3 + u^2)*Z^3",
@@ -605,22 +595,19 @@ def _e6_catalog() -> list[Stratum]:
                 v_point=(("v0", "1/2*(3*u^2 + v3)^2*u"),
                          ("v1", "1/4*(3*u^2 + v3)^2"),
                          ("v2", "1/4*(3*u^2 + v3)^2*u^2"),
-                         ("v3", "v3"), ("v4", "u*(v3 + u^2)")),
-                v_names=vnames),
+                         ("v3", "v3"), ("v4", "u*(v3 + u^2)"))),
         Stratum("V&V0^2", SingularityClass("D", 5), 5,
                 ("v0", "v1", "v2", "4*v3^3 + 27*v4^2"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3", ("a",),
                 side_conditions=("a",),
                 v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "-3*a^2"), ("v4", "-2*a^3")),
-                v_names=vnames),
+                         ("v3", "-3*a^2"), ("v4", "-2*a^3"))),
         Stratum("W&V0&V2&V4", SingularityClass("A", 5), 5,
                 ("v0", "v2", "v4", "v3^2 - 4*v1"),
                 base + " + 1/4*v3^2*Y^2 + v3*Y*Z^2", ("v3",),
                 side_conditions=("v3",),
                 v_point=(("v0", "0"), ("v1", "1/4*v3^2"), ("v2", "0"),
-                         ("v3", "v3"), ("v4", "0")),
-                v_names=vnames),
+                         ("v3", "v3"), ("v4", "0"))),
     ]
 
 
@@ -638,47 +625,41 @@ def _e7_catalog() -> list[Stratum]:
         Stratum("L", SingularityClass("A", 1), 1, (),
                 base + " + v0*Y*Z + v1*Y^2 + v2*Z^2 + v3*Y*Z^2 + v4*Z^3 + v5*Z^4",
                 vnames, side_conditions=(w2,),
-                v_point=tuple((v, v) for v in vnames), v_names=vnames),
+                v_point=tuple((v, v) for v in vnames)),
         Stratum("W2", SingularityClass("A", 2), 2, (w2,),
                 base + " + (w1*Y + w2*Z)^2 + v3*Y*Z^2 + v4*Z^3 + v5*Z^4",
                 ("w1", "w2", "v3", "v4", "v5"),
                 side_conditions=("w1", "w2", "w2^2*v3*w1^2 + w2^4 - w2*w1^3*v4"),
                 v_point=(("v0", "2*w1*w2"), ("v1", "w1^2"), ("v2", "w2^2"),
-                         ("v3", "v3"), ("v4", "v4"), ("v5", "v5")),
-                v_names=vnames),
+                         ("v3", "v3"), ("v4", "v4"), ("v5", "v5"))),
         Stratum("W2^3", SingularityClass("A", 3), 3, (w2, w3),
                 base + " + v1*(Y + u*Z)^2 + v3*Y*Z^2 + u*(v3 + u^2)*Z^3 + v5*Z^4",
                 ("v1", "u", "v3", "v5"),
                 side_conditions=("v1", "u", "4*v1*(v5 - u) - (v3 + 3*u^2)^2"),
                 v_point=(("v0", "2*v1*u"), ("v1", "v1"), ("v2", "v1*u^2"),
-                         ("v3", "v3"), ("v4", "u*(v3 + u^2)"), ("v5", "v5")),
-                v_names=vnames),
+                         ("v3", "v3"), ("v4", "u*(v3 + u^2)"), ("v5", "v5"))),
         Stratum("V0^2", SingularityClass("D", 4), 4, ("v0", "v1", "v2"),
                 base + " + v3*Y*Z^2 + v4*Z^3 + v5*Z^4", ("v3", "v4", "v5"),
                 side_conditions=("4*v3^3 + 27*v4^2",),
                 v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "v3"), ("v4", "v4"), ("v5", "v5")),
-                v_names=vnames),
+                         ("v3", "v3"), ("v4", "v4"), ("v5", "v5"))),
         Stratum("V&V0^2", SingularityClass("D", 5), 5,
                 ("v0", "v1", "v2", "4*v3^3 + 27*v4^2"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3 + v5*Z^4", ("a", "v5"),
                 side_conditions=("a", "a - v5"),
                 v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "-3*a^2"), ("v4", "-2*a^3"), ("v5", "v5")),
-                v_names=vnames),
+                         ("v3", "-3*a^2"), ("v4", "-2*a^3"), ("v5", "v5"))),
         Stratum("V0^4", SingularityClass("E", 6), 6,
                 ("v0", "v1", "v2", "v3", "v4"),
                 base + " + v5*Z^4", ("v5",), side_conditions=("v5",),
                 v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "0"), ("v4", "0"), ("v5", "v5")),
-                v_names=vnames),
+                         ("v3", "0"), ("v4", "0"), ("v5", "v5"))),
         Stratum("V'&V0^2", SingularityClass("D", 6), 6,
                 ("v0", "v1", "v2", "v3 + 3*v5^2", "v4 + 2*v5^3"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3 + a*Z^4", ("a",),
                 side_conditions=("a",),
                 v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "-3*a^2"), ("v4", "-2*a^3"), ("v5", "a")),
-                v_names=vnames),
+                         ("v3", "-3*a^2"), ("v4", "-2*a^3"), ("v5", "a"))),
         Stratum("W2~4", SingularityClass("A", 4), 4, (w2, w3, w4),
                 base + " + (w1*Y + u*w1*Z)^2 + (2*t*w1 - 3*u^2)*Y*Z^2"
                 " + u*(2*t*w1 - 2*u^2)*Z^3 + (t^2 + u)*Z^4",
@@ -687,7 +668,6 @@ def _e7_catalog() -> list[Stratum]:
                 v_point=(("v0", "2*u*w1^2"), ("v1", "w1^2"), ("v2", "u^2*w1^2"),
                          ("v3", "2*t*w1 - 3*u^2"),
                          ("v4", "u*(2*t*w1 - 2*u^2)"), ("v5", "t^2 + u")),
-                v_names=vnames,
                 flagged_variants=(w4_flagged,),
                 notes="fourth equation uses v1*v3, the printed v1*v2 variant "
                       "fails the stratum's own parameterization"),
@@ -695,8 +675,7 @@ def _e7_catalog() -> list[Stratum]:
                 base + " + (w1*Y + u*w1*Z)^2 - 3*u^2*Y*Z^2 - 2*u^3*Z^3 + u*Z^4",
                 ("w1", "u"), side_conditions=("w1", "u"),
                 v_point=(("v0", "2*u*w1^2"), ("v1", "w1^2"), ("v2", "u^2*w1^2"),
-                         ("v3", "-3*u^2"), ("v4", "-2*u^3"), ("v5", "u")),
-                v_names=vnames),
+                         ("v3", "-3*u^2"), ("v4", "-2*u^3"), ("v5", "u"))),
         Stratum("W2~5'", SingularityClass("A", 5), 5, (w2, w3, w4, w5p),
                 base + " + (3*t*u*Y + 3*u^2*t*Z)^2 + (-6*t^2*u - 3*u^2)*Y*Z^2"
                 " + u*(-6*t^2*u - 2*u^2)*Z^3 + (t^2 + u)*Z^4",
@@ -705,16 +684,14 @@ def _e7_catalog() -> list[Stratum]:
                 v_point=(("v0", "18*t^2*u^3"),
                          ("v1", "9*t^2*u^2"), ("v2", "9*t^2*u^4"),
                          ("v3", "-6*t^2*u - 3*u^2"),
-                         ("v4", "u*(-6*t^2*u - 2*u^2)"), ("v5", "t^2 + u")),
-                v_names=vnames),
+                         ("v4", "u*(-6*t^2*u - 2*u^2)"), ("v5", "t^2 + u"))),
         Stratum("W2~6", SingularityClass("A", 6), 6, (w2, w3, w4, w5p, w6),
                 base + " + (4*t^3*Y + 16/3*t^5*Z)^2 - 40/3*t^4*Y*Z^2"
                 " - 416/27*t^6*Z^3 + 7/3*t^2*Z^4",
                 ("t",), side_conditions=("t",),
                 v_point=(("v0", "128/3*t^8"), ("v1", "16*t^6"),
                          ("v2", "256/9*t^10"), ("v3", "-40/3*t^4"),
-                         ("v4", "-416/27*t^6"), ("v5", "7/3*t^2")),
-                v_names=vnames),
+                         ("v4", "-416/27*t^6"), ("v5", "7/3*t^2"))),
     ]
 
 
@@ -753,14 +730,13 @@ def _e8_catalog() -> list[Stratum]:
                 base + " + v0*Y*Z + v1*Y^2 + v2*Z^2 + v3*Y*Z^2 + v4*Z^3"
                 " + v5*Y*Z^3 + v6*Z^4",
                 vnames, side_conditions=(w2,),
-                v_point=tuple((v, v) for v in vnames), v_names=vnames),
+                v_point=tuple((v, v) for v in vnames)),
         Stratum("W2", SingularityClass("A", 2), 2, (w2,),
                 base + " + (w1*Y + w2*Z)^2 + v3*Y*Z^2 + v4*Z^3 + v5*Y*Z^3 + v6*Z^4",
                 ("w1", "w2", "v3", "v4", "v5", "v6"),
                 side_conditions=("w1", "w2", "w2^3 + w1^2*w2*v3 - w1^3*v4"),
                 v_point=(("v0", "2*w1*w2"), ("v1", "w1^2"), ("v2", "w2^2"),
-                         ("v3", "v3"), ("v4", "v4"), ("v5", "v5"), ("v6", "v6")),
-                v_names=vnames),
+                         ("v3", "v3"), ("v4", "v4"), ("v5", "v5"), ("v6", "v6"))),
         Stratum("W2^3", SingularityClass("A", 3), 3, (w2, w3),
                 base + " + (w1*Y + u*w1*Z)^2 + v3*Y*Z^2 + u*(v3 + u^2)*Z^3"
                 " + v5*Y*Z^3 + v6*Z^4",
@@ -768,15 +744,13 @@ def _e8_catalog() -> list[Stratum]:
                 side_conditions=("w1", "u", "4*w1^2*(v6 - u*v5) - (v3 + 3*u^2)^2"),
                 v_point=(("v0", "2*u*w1^2"), ("v1", "w1^2"), ("v2", "u^2*w1^2"),
                          ("v3", "v3"), ("v4", "u*(v3 + u^2)"),
-                         ("v5", "v5"), ("v6", "v6")),
-                v_names=vnames),
+                         ("v5", "v5"), ("v6", "v6"))),
         Stratum("V0^2", SingularityClass("D", 4), 4, ("v0", "v1", "v2"),
                 base + " + v3*Y*Z^2 + v4*Z^3 + v5*Y*Z^3 + v6*Z^4",
                 ("v3", "v4", "v5", "v6"),
                 side_conditions=("4*v3^3 + 27*v4^2",),
                 v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"), ("v3", "v3"),
-                         ("v4", "v4"), ("v5", "v5"), ("v6", "v6")),
-                v_names=vnames),
+                         ("v4", "v4"), ("v5", "v5"), ("v6", "v6"))),
         Stratum("V&V0^2", SingularityClass("D", 5), 5,
                 ("v0", "v1", "v2", "4*v3^3 + 27*v4^2"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3 + v5*Y*Z^3 + v6*Z^4",
@@ -784,21 +758,18 @@ def _e8_catalog() -> list[Stratum]:
                 side_conditions=("a", "v6 - a*v5"),
                 v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
                          ("v3", "-3*a^2"), ("v4", "-2*a^3"),
-                         ("v5", "v5"), ("v6", "v6")),
-                v_names=vnames),
+                         ("v5", "v5"), ("v6", "v6"))),
         Stratum("V0^4", SingularityClass("E", 6), 6,
                 ("v0", "v1", "v2", "v3", "v4"),
                 base + " + v5*Y*Z^3 + v6*Z^4", ("v5", "v6"),
                 side_conditions=("v6",),
                 v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"), ("v3", "0"),
-                         ("v4", "0"), ("v5", "v5"), ("v6", "v6")),
-                v_names=vnames),
+                         ("v4", "0"), ("v5", "v5"), ("v6", "v6"))),
         Stratum("V0^4&V6", SingularityClass("E", 7), 7,
                 ("v0", "v1", "v2", "v3", "v4", "v6"),
                 base + " + v5*Y*Z^3", ("v5",), side_conditions=("v5",),
                 v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"), ("v3", "0"),
-                         ("v4", "0"), ("v5", "v5"), ("v6", "0")),
-                v_names=vnames),
+                         ("v4", "0"), ("v5", "v5"), ("v6", "0"))),
         Stratum("V'&V0^2", SingularityClass("D", 6), 6,
                 ("v0", "v1", "v2", "v3*v5^2 + 3*v6^2", "v4*v5^3 + 2*v6^3"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3 + v5*Y*Z^3 + a*v5*Z^4",
@@ -806,8 +777,7 @@ def _e8_catalog() -> list[Stratum]:
                 side_conditions=("a", "v5", "12*a + v5^2"),
                 v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
                          ("v3", "-3*a^2"), ("v4", "-2*a^3"),
-                         ("v5", "v5"), ("v6", "a*v5")),
-                v_names=vnames),
+                         ("v5", "v5"), ("v6", "a*v5"))),
         Stratum("V''&V0^2", SingularityClass("D", 7), 7,
                 ("v0", "v1", "v2", "v3*v5^2 + 3*v6^2", "v4*v5^3 + 2*v6^3",
                  "12*v6 + v5^3"),
@@ -816,8 +786,7 @@ def _e8_catalog() -> list[Stratum]:
                 ("v5",), side_conditions=("v5",),
                 v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
                          ("v3", "-1/48*v5^4"), ("v4", "1/864*v5^6"),
-                         ("v5", "v5"), ("v6", "-1/12*v5^3")),
-                v_names=vnames),
+                         ("v5", "v5"), ("v6", "-1/12*v5^3"))),
         Stratum("W2~4", SingularityClass("A", 4), 4, (w2, w3, w4),
                 base + " + (w1*Y + u*w1*Z)^2 + (2*t*w1 - 3*u^2)*Y*Z^2"
                 " + u*(2*t*w1 - 2*u^2)*Z^3 + v5*Y*Z^3 + (t^2 + u*v5)*Z^4",
@@ -826,8 +795,7 @@ def _e8_catalog() -> list[Stratum]:
                 v_point=(("v0", "2*u*w1^2"), ("v1", "w1^2"), ("v2", "u^2*w1^2"),
                          ("v3", "2*t*w1 - 3*u^2"),
                          ("v4", "u*(2*t*w1 - 2*u^2)"),
-                         ("v5", "v5"), ("v6", "t^2 + u*v5")),
-                v_names=vnames),
+                         ("v5", "v5"), ("v6", "t^2 + u*v5"))),
         Stratum("W2~5", SingularityClass("A", 5), 5, (w2, w3, w4, w5),
                 a5_family, ("t", "b", "v5"),
                 side_conditions=("t", "v5 - b", "v5 + b",
@@ -837,8 +805,7 @@ def _e8_catalog() -> list[Stratum]:
                          ("v2", "%s^2*%s^2" % (u_expr, w1_expr)),
                          ("v3", "t^2*(v5 - b) - 3*%s^2" % u_expr),
                          ("v4", "%s*(t^2*(v5 - b) - 2*%s^2)" % (u_expr, u_expr)),
-                         ("v5", "v5"), ("v6", "t^2 + %s*v5" % u_expr)),
-                v_names=vnames),
+                         ("v5", "v5"), ("v6", "t^2 + %s*v5" % u_expr))),
         Stratum("W2~6", SingularityClass("A", 6), 6, (w2, w3, w4, w5, w6),
                 a6_family, ("b", "c"),
                 side_conditions=("b", "c", "b + 8*c^2", "b + 16*c^2",
@@ -849,8 +816,7 @@ def _e8_catalog() -> list[Stratum]:
                          ("v3", "2*c*b*%s - 3*%s^2" % (w16, u6)),
                          ("v4", "%s*(2*c*b*%s - 2*%s^2)" % (u6, w16, u6)),
                          ("v5", "b - 8*c^2"),
-                         ("v6", "c^2*b^2 + %s*(b - 8*c^2)" % u6)),
-                v_names=vnames),
+                         ("v6", "c^2*b^2 + %s*(b - 8*c^2)" % u6))),
         Stratum("W2~7", SingularityClass("A", 7), 7, (w2, w3, w4, w5, w6, w7),
                 base + " + (32*c^5*Y - 512*c^9*Z)^2 - 1280*c^8*Y*Z^2"
                 " + 16384*c^12*Z^3 - 16*c^2*Y*Z^3 + 320*c^6*Z^4",
@@ -858,8 +824,7 @@ def _e8_catalog() -> list[Stratum]:
                 v_point=(("v0", "-32768*c^14"), ("v1", "1024*c^10"),
                          ("v2", "262144*c^18"), ("v3", "-1280*c^8"),
                          ("v4", "16384*c^12"), ("v5", "-16*c^2"),
-                         ("v6", "320*c^6")),
-                v_names=vnames),
+                         ("v6", "320*c^6"))),
     ]
 
 

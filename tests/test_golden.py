@@ -130,15 +130,14 @@ def test_demo_stdout_matches_golden(demo):
     assert _run_demo(demo) == want
 
 
-def test_s_polynomial_keeps_parametric_content_factor():
-    # The content removal divides by the monic gcd over Q(t) times the
-    # integer content, so the factor 2t+1 leaves its leading coefficient 2
-    # behind instead of giving t*x*y^2 - y^2.
+def test_s_polynomial_divides_out_parametric_content():
+    # The content removal divides by the gcd over Z[t], so the factor 2t+1
+    # leaves nothing behind: no integer factor 2 survives it.
     ctx = VarCtx(["x", "y"], ["t"])
     f = parse_poly("x^2 + (2*t+1)*y", ctx)
     g = parse_poly("x*y + (2*t+1)*t*y^2", ctx)
     sp = s_polynomial(f, g, grevlex())
-    assert sp == parse_poly("2*t*x*y^2 - 2*y^2", ctx)
+    assert sp == parse_poly("t*x*y^2 - y^2", ctx)
 
 
 def test_parametric_denominator_of_an_input_cancels_the_content_factor():

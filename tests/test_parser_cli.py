@@ -233,8 +233,15 @@ def test_cli_file_input(tmp_path, capsys):
     assert "dimension: 2" in capsys.readouterr().out
 
 
-def test_cli_env_budget(monkeypatch, capsys):
-    monkeypatch.setenv("LOCALSTD_STEP_BUDGET", "1")
-    rc = main(["milnor", "--vars", "x,y", "x^5+y^5+x^2*y^2"])
-    assert rc == 5
-    capsys.readouterr()
+def test_cli_unreadable_file_exit_1(tmp_path, capsys):
+    rc = main(["milnor", "--vars", "x,y", "--file", str(tmp_path / "missing.txt")])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("localstd: error: ")
+    assert "missing.txt" in err
+
+
+def test_cli_key_error_message_is_unquoted(capsys):
+    rc = main(["verify-stratum", "E6", "W2", "--witness", "v0=1,w1=1,w2=1,v3=1,v4=1"])
+    assert rc == 1
+    assert capsys.readouterr().err == "localstd: error: unknown parameter 'v0'\n"

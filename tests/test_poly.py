@@ -3,10 +3,11 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from localstd import ContextMismatchError, Monomial, Poly, VarCtx, parse_poly
+from localstd import (ContextMismatchError, Monomial, Poly, VarCtx, grevlex,
+                      parse_poly)
 
 
 def P(src, variables="x,y", params=""):
@@ -232,6 +233,30 @@ def test_substitute_specialize_commute(p, num, den):
     sub2 = {"x": parse_poly("x + 2*y", small.ctx)}
     right = small.substitute(sub2)
     assert left == right
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_primitive_is_blind_to_a_unit_of_z_t(data):
+    # p and u*p have the same primitive part for every nonzero u in Z[t],
+    # parametric content (such as 2t+1) included.
+    ctx = VarCtx(["x", "y"], ["t"])
+    t = ctx.field.param("t")
+
+    def z_t():
+        return sum((data.draw(st.integers(-3, 3)) * t ** k for k in range(3)),
+                   ctx.field.zero)
+
+    p = ctx.zero()
+    for _ in range(data.draw(st.integers(1, 4))):
+        mon = Monomial((data.draw(st.integers(0, 3)), data.draw(st.integers(0, 3))))
+        c = z_t() / data.draw(st.integers(1, 3))
+        if c:
+            p = p + Poly(ctx, {mon: c})
+    u = z_t()
+    assume(u)
+    order = grevlex()
+    assert p.scale(u).primitive(order) == p.primitive(order)
 
 
 @settings(max_examples=25, deadline=None)
