@@ -24,7 +24,7 @@ r = tyurina_local(F)
 print("Kuranishi monomial basis:",
       [m.to_str(ctx.variables) for m in r.quotient_basis])
 
-# the fused pipeline runs the global basis first and seeds the local one
+# the fused pipeline runs the global and the local computation together
 f = parse_poly("x^3 + y^4 + x*y^2", ctx)
 fm = milnor_fused(f)
 print("fused Milnor of", f, "-> global %d, local %d"

@@ -10,7 +10,7 @@ from .engines import (OrderClassError, PolySet, StepBudgetExceeded,
                       buchberger, ecart, normal_form, s_polynomial,
                       standard_basis, weak_normal_form)
 from .invariants import (FusedReport, InvariantReport, NonIsolatedError,
-                         degree_bound, is_zero_dimensional, jacobian_ideal,
+                         is_zero_dimensional, jacobian_ideal,
                          leading_coefficients, milnor_fused, milnor_global,
                          milnor_local, quotient_basis, tyurina_fused,
                          tyurina_global, tyurina_local, tyurina_ideal)
@@ -35,7 +35,7 @@ __all__ = [
     "SingularityClass", "StepBudgetExceeded", "Stratum",
     "StratumVerification", "UndeclaredSymbolError", "VarCtx", "WeightVector",
     "ADJACENCY_KINDS", "ade_normal_form", "adjacency_target", "buchberger",
-    "build_versal_family", "classify_simple", "degree_bound", "ecart",
+    "build_versal_family", "classify_simple", "ecart",
     "grevlex", "hessian_corank", "is_zero_dimensional", "jacobian_ideal",
     "leading_coefficients", "lex", "milnor_fused", "milnor_global",
     "milnor_local", "milnor_orlik", "neg_grevlex", "neg_lex", "normal_form",

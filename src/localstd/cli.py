@@ -91,9 +91,9 @@ def _build_argparser() -> argparse.ArgumentParser:
              partial(_cmd_invariant, milnor_global)),
             ("poly-tyurina", "Tyurina number of the polynomial (global order)",
              partial(_cmd_invariant, tyurina_global)),
-            ("milnor-fused", "global then seeded local Milnor run",
+            ("milnor-fused", "global run plus local run, Milnor",
              partial(_cmd_fused, milnor_fused)),
-            ("tyurina-fused", "global then seeded local Tyurina run",
+            ("tyurina-fused", "global run plus local run, Tyurina",
              partial(_cmd_fused, tyurina_fused)),
             ("classify", "Arnol'd class of the singular point at the origin",
              _cmd_classify),

@@ -362,8 +362,7 @@ def _normalize_output(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
             else p for p in basis]
 
 
-def buchberger(F: PolySet, step_budget: Optional[int] = None,
-               interreduce: bool = False) -> PolySet:
+def buchberger(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
     """Groebner basis of <F> under a global order, minimalized."""
     order = F.order
     if order.classify(F.ctx.arity) is not OrderClass.GLOBAL:
@@ -371,8 +370,6 @@ def buchberger(F: PolySet, step_budget: Optional[int] = None,
     budget = _Budget(step_budget)
     basis = _completion(F.elements, order, _reduce_full, budget)
     basis = _minimalize(basis, order)
-    if interreduce:
-        basis = _interreduce(basis, order, budget)
     basis = _normalize_output(basis, order)
     return PolySet(basis, order)
 
@@ -391,24 +388,3 @@ def standard_basis(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
     basis = _normalize_output(basis, order)
     return PolySet(basis, order)
 
-
-def _interreduce(basis: list[Poly], order: MonomialOrder, budget: _Budget) -> list[Poly]:
-    """Fully reduce each tail against the others (global orders only)."""
-    out = [_to_ring(p)[0] for p in basis]
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(out)):
-            others = [out[j] for j in range(len(out)) if j != i]
-            if not others:
-                continue
-            r = _reduce_full(out[i], others, order, budget)
-            if r.is_zero():
-                out.pop(i)
-                changed = True
-                break
-            r = _primitive(r, order)
-            if r != out[i]:
-                out[i] = r
-                changed = True
-    return [_from_ring(p) for p in out]

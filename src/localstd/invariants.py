@@ -95,50 +95,34 @@ def is_zero_dimensional(leading, arity: int) -> bool:
     return True
 
 
-def degree_bound(leading, arity: int) -> int:
-    if not leading:
-        raise ValueError("empty leading set")
-    return arity * max(m.degree for m in leading)
-
-
-def _monomials_capped(arity: int, bound: int, caps):
+def _monomials_capped(arity: int, caps):
+    """Every monomial with exponent i below caps[i]."""
     exps = [0] * arity
 
-    def rec(i, left):
-        hi = min(left, caps[i] - 1)
-        if i == arity - 1:
-            for e in range(hi + 1):
-                exps[i] = e
-                yield Monomial(exps)
-            exps[i] = 0
-            return
-        for e in range(hi + 1):
+    def rec(i):
+        for e in range(caps[i]):
             exps[i] = e
-            yield from rec(i + 1, left - e)
+            if i == arity - 1:
+                yield Monomial(exps)
+            else:
+                yield from rec(i + 1)
         exps[i] = 0
 
-    if all(c > 0 for c in caps):
-        yield from rec(0, bound)
+    yield from rec(0)
 
 
 def quotient_basis(leading, arity: int, order: MonomialOrder):
-    """Standard monomials up to the degree bound, ascending under the order.
+    """Standard monomials, ascending under the order.
 
     Every variable has a pure power in the leading set, which caps its
-    exponent; the total-degree bound is provably sufficient on top of that,
-    so a survivor at the top degree indicates a bug, not bad input.
+    exponent; the box below the caps holds every standard monomial.
     """
     if not is_zero_dimensional(leading, arity):
         raise ValueError("leading ideal is not zero-dimensional")
-    bound = degree_bound(leading, arity)
     caps = [min(m[i] for m in leading if m.is_pure_power_of(i))
             for i in range(arity)]
-    survivors = []
-    for m in _monomials_capped(arity, bound, caps):
-        if not any(l.divides(m) for l in leading):
-            survivors.append(m)
-    if any(m.degree >= bound for m in survivors) and bound > 0:
-        raise AssertionError("degree bound insufficiency; enumeration bug")
+    survivors = [m for m in _monomials_capped(arity, caps)
+                 if not any(l.divides(m) for l in leading)]
     survivors.sort(key=order.sort_key)
     return survivors
 
@@ -224,37 +208,31 @@ def tyurina_global(f: Poly, order: Optional[MonomialOrder] = None,
                 "non-isolated singular points", step_budget)
 
 
-def _fused(gens, local_order, global_order, ideal_kind, local_err, global_err,
-           arity, step_budget) -> FusedReport:
+def _fused(f, global_run, local_run, local_order, global_order,
+           step_budget) -> FusedReport:
+    local_order = local_order if local_order is not None else neg_grevlex()
+    global_order = global_order if global_order is not None else grevlex()
+    arity = f.ctx.arity
     _require_class(local_order, arity, OrderClass.LOCAL, "fused local part")
     _require_class(global_order, arity, OrderClass.GLOBAL, "fused global part")
-    global_report = _run(gens, global_order, "global", ideal_kind, global_err,
-                         step_budget)
-    seeded = list(global_report.basis.elements)
-    local_report = _run(seeded, local_order, "local", ideal_kind, local_err,
-                        step_budget)
-    return FusedReport(global_part=global_report, local_part=local_report)
+    return FusedReport(global_part=global_run(f, global_order, step_budget),
+                       local_part=local_run(f, local_order, step_budget))
 
 
 def milnor_fused(f: Poly, local_order: Optional[MonomialOrder] = None,
                  global_order: Optional[MonomialOrder] = None,
                  step_budget: Optional[int] = None) -> FusedReport:
-    """Global Groebner run, then a standard-basis run seeded with its basis."""
-    local_order = local_order if local_order is not None else neg_grevlex()
-    global_order = global_order if global_order is not None else grevlex()
-    return _fused(jacobian_ideal(f), local_order, global_order, "jacobian",
-                  "the critical point at the origin is not isolated",
-                  "non-isolated critical points", f.ctx.arity, step_budget)
+    """Global and local Milnor runs on the same generators, each with its own
+    step budget."""
+    return _fused(f, milnor_global, milnor_local, local_order, global_order,
+                  step_budget)
 
 
 def tyurina_fused(f: Poly, local_order: Optional[MonomialOrder] = None,
                   global_order: Optional[MonomialOrder] = None,
                   step_budget: Optional[int] = None) -> FusedReport:
-    local_order = local_order if local_order is not None else neg_grevlex()
-    global_order = global_order if global_order is not None else grevlex()
-    return _fused(tyurina_ideal(f), local_order, global_order, "tyurina",
-                  "the singular point at the origin is not isolated",
-                  "non-isolated singular points", f.ctx.arity, step_budget)
+    return _fused(f, tyurina_global, tyurina_local, local_order, global_order,
+                  step_budget)
 
 
 def leading_coefficients(report: InvariantReport):

@@ -76,6 +76,9 @@ class MonomialOrder:
         if len(self.weights) != arity:
             raise OrderDefinitionError("weight vector does not fit arity %d" % arity)
         w = sum(wi * e for wi, e in zip(self.weights, mon))
+        if self.perm is not None:
+            # the tie-break sees the variables in significance order
+            mon = tuple(mon[i] for i in perm)
         return (w,) + tuple(self.tiebreak.sort_key(mon))
 
     def compare(self, a, b) -> int:

@@ -197,36 +197,10 @@ def _hessian_matrix(f: Poly):
     return H
 
 
-def _rank(mat) -> int:
-    """Exact rank by Gaussian elimination over the coefficient field; with
-    parameters present this is the generic rank."""
-    m = [row[:] for row in mat]
-    rows, cols = len(m), len(m[0]) if m else 0
-    r = 0
-    for c in range(cols):
-        pr = next((i for i in range(r, rows) if m[i][c]), None)
-        if pr is None:
-            continue
-        m[r], m[pr] = m[pr], m[r]
-        pv = m[r][c]
-        for i in range(r + 1, rows):
-            if m[i][c]:
-                fac = m[i][c] / pv
-                m[i] = [a - fac * b for a, b in zip(m[i], m[r])]
-        r += 1
-    return r
-
-
-def hessian_corank(f: Poly) -> int:
-    """Arity minus the rank of the Hessian at the origin (generic rank when
-    parameters are present)."""
-    return f.ctx.arity - _rank(_hessian_matrix(f))
-
-
 def _quadratic_kernel_change(f: Poly):
     """Invertible rational change of variables diagonalizing the quadratic
-    part, kernel directions last.  Returns the list of new coordinate images
-    (columns) as polynomials, kernel indices last."""
+    part: the matrix T whose columns are the new coordinates, and the
+    indices of the kernel directions (zero diagonal entries)."""
     n = f.ctx.arity
     field = f.ctx.field
     M = _hessian_matrix(f)  # 2*quadratic form matrix
@@ -274,9 +248,14 @@ def _quadratic_kernel_change(f: Poly):
                 add_col(j, k, fac)
                 add_row(j, k, fac)
         k += 1
-    kernel = [i for i in range(n) if not M[i][i]]
-    regular = [i for i in range(n) if M[i][i]]
-    return T, regular, kernel
+    return T, [i for i in range(n) if not M[i][i]]
+
+
+def hessian_corank(f: Poly) -> int:
+    """Arity minus the rank of the Hessian at the origin (generic rank when
+    parameters are present): congruence keeps the rank, so this counts the
+    zero diagonal entries of the diagonalized quadratic form."""
+    return len(_quadratic_kernel_change(f)[1])
 
 
 def _binary_cubic_structure(a, b, c, d, field) -> str:
@@ -317,15 +296,13 @@ def classify_simple(f: Poly, mu: Optional[int] = None) -> Optional[SingularityCl
         mu = milnor_local(f).dimension
     if mu < 1:
         return None
-    crk = hessian_corank(f)
+    T, kernel = _quadratic_kernel_change(f)
+    crk = len(kernel)
     if crk == 0:
         return SingularityClass("A", 1) if mu == 1 else None
     if crk == 1:
         return SingularityClass("A", mu)
     if crk != 2:
-        return None
-    T, regular, kernel = _quadratic_kernel_change(f)
-    if len(kernel) != 2:
         return None
     ctx = f.ctx
     images = {}

@@ -269,9 +269,3 @@ def test_polyset_validation():
     ps = PolySet([a, a, P("y", XY)], grevlex())
     assert len(ps) == 2
 
-
-def test_buchberger_full_interreduction():
-    gens = [P("x^2 - y", XY), P("x*y - 1", XY)]
-    G = buchberger(PolySet(gens, grevlex()), interreduce=True)
-    got = {p.to_str(grevlex()) for p in G}
-    assert got == {"x^2 - y", "x*y - 1", "y^2 - x"}

@@ -115,6 +115,19 @@ def test_cli_json_matches_golden(index):
     assert _run_cli(CLI_CASES[index]) == want
 
 
+def test_fused_golden_entries_are_the_plain_runs():
+    # X-fused is poly-X and X run on the same generators
+    results = {tuple(run["argv"]): json.loads(run["stdout"])["result"]
+               for run in _stored(CLI_FILE)}
+    fused = [argv for argv in results if argv[0].endswith("-fused")]
+    assert len(fused) == 8
+    for argv in fused:
+        plain, tail = argv[0][:-len("-fused")], argv[1:]
+        assert results[argv] == {
+            "global_part": results[("poly-" + plain,) + tail],
+            "local_part": results[(plain,) + tail]}
+
+
 @pytest.mark.parametrize("index", range(len(CLI_TEXT_CASES)))
 def test_cli_text_matches_golden(index):
     stored = _stored(CLI_TEXT_FILE)

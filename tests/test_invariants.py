@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from localstd import (Monomial, NonIsolatedError, OrderClassError, VarCtx,
-                      degree_bound, grevlex, is_zero_dimensional,
+                      grevlex, is_zero_dimensional,
                       jacobian_ideal, leading_coefficients, lex, milnor_fused,
                       milnor_global, milnor_local, neg_grevlex, neg_lex,
                       parse_poly, quotient_basis, tyurina_fused,
@@ -52,7 +52,7 @@ def test_tyurina_of_linear():
 
 
 # ---------------------------------------------------------------------------
-# zero-dimensionality, bound, quotient enumeration
+# zero-dimensionality, quotient enumeration
 # ---------------------------------------------------------------------------
 
 def test_is_zero_dimensional_examples():
@@ -61,12 +61,6 @@ def test_is_zero_dimensional_examples():
     assert is_zero_dimensional([Monomial((1, 0)), Monomial((0, 6))], 2)
     # the constant monomial makes the ideal the unit ideal
     assert is_zero_dimensional([Monomial((0, 0))], 2)
-
-
-def test_degree_bound_examples():
-    assert degree_bound([Monomial((1, 0)), Monomial((0, 6))], 2) == 12
-    assert degree_bound([Monomial((1,))], 1) == 1
-    assert degree_bound([Monomial((0, 2)), Monomial((1, 1)), Monomial((3, 0))], 2) == 6
 
 
 def test_quotient_basis_an_example():
@@ -263,13 +257,26 @@ def test_fused_generic_full_deformation_is_smooth():
     assert fm.global_part.dimension == 6 and fm.local_part.dimension == 0
 
 
-def test_fused_within_budget_where_plain_local_is_hard():
-    # the fused pipeline must finish fast on the generic deformation; give it
-    # a modest budget to prove it is not grinding
+def test_fused_on_generic_full_deformation_within_budget():
+    # both parts must finish fast on the generic deformation; a modest budget
+    # proves neither is grinding
     src = ("x^3 + y^4 + x*y^2 + l0 + l1*y + l2*x + l3*x^2")
     f = P(src, params="l0,l1,l2,l3")
     fr = tyurina_fused(f, step_budget=20000)
     assert fr.local_part.dimension == 0
+
+
+def test_fused_local_part_lists_the_tyurina_jump_at_t_minus_one_half():
+    # The local Tyurina number jumps from 4 to 12 at t = -1/2, so the local
+    # part must assume some factor that vanishes there.
+    f = P("x^4 + (2*t+1)*x^2*y + (2*t+1)*t*y^3 + 1/4*y^5", params="t")
+    local = tyurina_fused(f).local_part
+    t0 = {"t": Fraction(-1, 2)}
+    assert local.dimension == 4
+    assert tyurina_local(f.specialize_params(t0)).dimension == 12
+    field, plain = f.ctx.field, f.ctx.without_params(["t"]).field
+    assert any(plain.is_zero(field.specialize(a, t0, plain))
+               for a in local.genericity_assumptions)
 
 
 def test_fused_order_guards():

@@ -7,9 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localstd import (Monomial, OrderClass, OrderDefinitionError, VarCtx,
-                      grevlex, lex, neg_grevlex, neg_lex, parse_order,
-                      parse_poly, weighted)
+from localstd import (Monomial, MonomialOrder, OrderClass,
+                      OrderDefinitionError, VarCtx, grevlex, lex, neg_grevlex,
+                      neg_lex, parse_order, parse_poly, weighted)
 
 
 def M(*exps):
@@ -35,6 +35,22 @@ def test_lex_with_significance_permutation():
     # significance (z, y): z beats any power of y
     o = lex(perm=(1, 0))
     assert o.greater(M(0, 1), M(3, 0))
+
+
+def test_weighted_tie_break_follows_the_permutation():
+    variables = ("x", "y")
+    xy = parse_order("weighted:1,1:lex:x,y", variables)
+    yx = parse_order("weighted:1,1:lex:y,x", variables)
+    assert xy.greater(M(2, 0), M(0, 2))
+    assert yx.greater(M(0, 2), M(2, 0))
+    # the weights still belong to the declared variables
+    assert weighted((1, 2), lex(), perm=(1, 0)).greater(M(0, 1), M(1, 0))
+    # a permuted tie-break keys like the plain order with that permutation
+    for kind in ("grevlex", "lex", "neg_grevlex", "neg_lex"):
+        o = weighted((0, 0, 0), MonomialOrder(kind), perm=(2, 0, 1))
+        plain = MonomialOrder(kind, (2, 0, 1))
+        for a in itertools.product(range(3), repeat=3):
+            assert o.sort_key(a)[1:] == plain.sort_key(a)
 
 
 def test_classify_standard_orders():
