@@ -2,7 +2,8 @@
 
 Each stratum of the catalog carries its defining equations in the
 deformation coefficients plus a rational witness family; verification
-specializes the family and recomputes (mu, tau, corank, class) exactly.
+parses the family at the witness and recomputes (mu, tau, corank, class)
+exactly.
 """
 
 import random

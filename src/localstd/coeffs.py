@@ -209,36 +209,22 @@ class CoeffField:
     def specialize(self, c, values: dict, target: "CoeffField"):
         """Substitute rationals for a subset of parameters.
 
-        values maps parameter name -> Fraction.  The remaining parameters must
-        be exactly the parameters of target.  Raises ZeroDivisionError when
-        the denominator vanishes under the assignment.
+        values maps parameter name -> Fraction, at least one.  The remaining
+        parameters must be exactly the parameters of target.  Raises
+        ZeroDivisionError when the denominator vanishes under the assignment.
         """
         if not self.params:
             return target.from_fraction(self.as_fraction(c))
-
-        def subst_poly(p):
-            acc = target.zero
-            for exps, q in p.terms():
-                term = target.from_fraction(Fraction(int(q.numerator), int(q.denominator)))
-                for name, e in zip(self.params, exps):
-                    if e == 0:
-                        continue
-                    if name in values:
-                        term = term * target.from_fraction(Fraction(values[name]) ** e)
-                    else:
-                        term = term * target.param(name) ** e
-                acc = acc + term
-            return acc
-
-        num = subst_poly(c.numer)
-        den = subst_poly(c.denom)
-        if target.is_zero(den):
+        point = [(g, values[name]) for name, g in zip(self.params, c.numer.ring.gens)
+                 if name in values]
+        num, den = c.numer.evaluate(point), c.denom.evaluate(point)
+        if not den:
             raise ZeroDivisionError("denominator vanishes under the assignment")
-        return num / den
+        return target.domain.convert(num) / target.domain.convert(den)
 
     def convert_to(self, c, target: "CoeffField"):
         """Embed into a field with a superset of parameters."""
-        return self.specialize(c, {}, target)
+        return target.domain.convert_from(c, self.domain)
 
     # -- printing ----------------------------------------------------------
 

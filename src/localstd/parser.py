@@ -7,7 +7,8 @@ Grammar (explicit multiplication only, non-negative integer exponents):
     factor := '-'* base ('^' INT)?
     base   := INT ('/' INT)? | NAME | '(' expr ')'
 
-Symbols must be declared in the context, either as variables or parameters.
+A NAME is a variable of the context, else a name bound by ``values`` (it
+parses to its rational value), else a declared parameter.
 """
 
 from __future__ import annotations
@@ -62,10 +63,11 @@ def _tokenize(src: str):
 
 
 class _Parser:
-    def __init__(self, tokens, ctx: VarCtx):
+    def __init__(self, tokens, ctx: VarCtx, values):
         self.tokens = tokens
         self.k = 0
         self.ctx = ctx
+        self.values = values
 
     def peek(self):
         return self.tokens[self.k]
@@ -145,6 +147,8 @@ class _Parser:
         if kind == "NAME":
             if text in self.ctx.variables:
                 return self.ctx.variable(text)
+            if text in self.values:
+                return self.ctx.constant(self.values[text])
             if text in self.ctx.parameters:
                 return self.ctx.parameter(text)
             raise UndeclaredSymbolError(
@@ -156,8 +160,16 @@ class _Parser:
         raise ParseError("unexpected %r" % (text or "end of input"), pos)
 
 
-def parse_poly(src: str, ctx: VarCtx) -> Poly:
-    """Parse an expression into a canonical polynomial over the context."""
+def parse_poly(src: str, ctx: VarCtx, values=None) -> Poly:
+    """Parse an expression into a canonical polynomial over the context.
+
+    A name bound by values parses to its rational value, so the result is the
+    parse over the context specialized at that point.
+    """
     if not src.strip():
         raise ParseError("empty input", 0)
-    return _Parser(_tokenize(src), ctx).parse()
+    values = values or {}
+    clash = set(values) & set(ctx.variables)
+    if clash:
+        raise ValueError("bound names %s are variables of the context" % sorted(clash))
+    return _Parser(_tokenize(src), ctx, values).parse()

@@ -321,18 +321,9 @@ class Poly:
         vals = {k: Fraction(v) for k, v in values.items()}
         t: dict = {}
         for m, c in self._t.items():
-            nc = f.specialize(c, vals, new_ctx.field)
-            if not nc:
-                continue
-            s = t.get(m)
-            if s is None:
-                t[m] = nc
-            else:
-                s = s + nc
-                if s:
-                    t[m] = s
-                else:
-                    del t[m]
+            c = f.specialize(c, vals, new_ctx.field)
+            if c:
+                t[m] = c
         return Poly(new_ctx, t)
 
     def convert_to(self, new_ctx: VarCtx) -> "Poly":

@@ -378,6 +378,9 @@ def build_versal_family(f: Poly, order: Optional[MonomialOrder] = None,
 # stratification catalogs
 # ---------------------------------------------------------------------------
 
+_YZ = VarCtx(("Y", "Z"))
+
+
 @dataclass(frozen=True)
 class Stratum:
     """One stratum of a Kuranishi-space stratification.
@@ -400,11 +403,9 @@ class Stratum:
     notes: str = ""
     flagged_variants: tuple[str, ...] = ()
 
-    def family_ctx(self) -> VarCtx:
-        return VarCtx(("Y", "Z"), self.witness_params)
-
-    def family(self) -> Poly:
-        return parse_poly(self.family_src, self.family_ctx())
+    def family(self, witness: dict) -> Poly:
+        """The witness family at a rational point of its parameters, over Q."""
+        return parse_poly(self.family_src, _YZ, witness)
 
     def to_json_dict(self) -> dict:
         d = {
@@ -823,12 +824,10 @@ def stratum_catalog(cls: SingularityClass) -> list[Stratum]:
 # ---------------------------------------------------------------------------
 
 def _eval_param_expr(src: str, values: dict) -> Fraction:
-    ctx = VarCtx(("_dummy",), tuple(values.keys()))
-    p = parse_poly(src, ctx)
-    spec = p.specialize_params(values)
-    if not spec.is_constant():
+    p = parse_poly(src, _YZ, values)
+    if not p.is_constant():
         raise ValueError("expression %r did not evaluate to a constant" % src)
-    return spec.ctx.field.as_fraction(spec.constant_coeff()) if spec else Fraction(0)
+    return _YZ.field.as_fraction(p.constant_coeff()) if p else Fraction(0)
 
 
 def sample_witness(stratum: Stratum, rng: random.Random,
@@ -849,8 +848,8 @@ def sample_witness(stratum: Stratum, rng: random.Random,
 
 def verify_stratum(cls: SingularityClass, stratum: Stratum,
                    witness: dict) -> StratumVerification:
-    """Specialize the witness family, compute (mu, tau, corank, class) and
-    compare with the stratum's expectation.  When the stratum carries a
+    """Parse the witness family at the witness, compute (mu, tau, corank, class)
+    and compare with the stratum's expectation.  When the stratum carries a
     rational coefficient map, also check its defining equations vanish."""
     witness = {k: Fraction(v) for k, v in witness.items()}
     missing = set(stratum.witness_params) - set(witness)
@@ -859,8 +858,10 @@ def verify_stratum(cls: SingularityClass, stratum: Stratum,
     for src in stratum.side_conditions:
         if _eval_param_expr(src, witness) == 0:
             raise ValueError("witness violates side condition %r" % src)
-    fam = stratum.family()
-    f = fam.specialize_params(witness)
+    for name in witness:
+        if name not in stratum.witness_params:
+            raise KeyError("unknown parameter %r" % name)
+    f = stratum.family(witness)
     mu = milnor_local(f).dimension
     tau = tyurina_local(f).dimension
     crk = hessian_corank(f)

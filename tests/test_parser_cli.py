@@ -1,8 +1,11 @@
 """Expression parser and command-line interface."""
 
 import json
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from localstd import (ParseError, UndeclaredSymbolError, VarCtx, grevlex,
                       neg_grevlex, parse_poly)
@@ -75,6 +78,58 @@ def test_print_parse_round_trip():
         p = P(src, variables, params)
         for order in (grevlex(), neg_grevlex()):
             assert P(p.to_str(order), variables, params) == p
+
+
+def test_parse_bound_name_is_its_constant():
+    ctx = VarCtx(["x"])
+    assert parse_poly("2*t + 1", ctx, {"t": Fraction(1, 3)}) == ctx.constant(Fraction(5, 3))
+    assert parse_poly("t*x^2", ctx, {"t": 0}) == ctx.zero()
+
+
+def test_parse_bound_names_mix_with_parameters():
+    ctx = VarCtx(["x", "y"], ["s"])
+    got = parse_poly("t*x^2 + s*y + t*s", ctx, {"t": Fraction(-2)})
+    assert got == parse_poly("-2*x^2 + s*y - 2*s", ctx)
+
+
+def test_parse_bound_name_must_not_be_a_variable():
+    with pytest.raises(ValueError, match="variables of the context"):
+        parse_poly("x + t", VarCtx(["x", "y"]), {"x": Fraction(1), "t": Fraction(2)})
+
+
+def test_parse_undeclared_symbol_column_with_bound_names():
+    ctx = VarCtx(["x"])
+    with pytest.raises(UndeclaredSymbolError) as plain:
+        parse_poly("x + q", ctx)
+    with pytest.raises(UndeclaredSymbolError) as bound:
+        parse_poly("t + q", ctx, {"t": Fraction(1)})
+    assert plain.value.pos == bound.value.pos == 4
+    assert "column 5" in str(bound.value)
+
+
+_LEAVES = st.sampled_from(["x", "y", "t", "s", "2", "1/3", "-5/2"])
+
+
+def _combine(children):
+    return st.one_of(
+        st.tuples(children, st.sampled_from(["+", "-", "*"]), children).map(
+            lambda t: "(%s %s %s)" % t),
+        st.tuples(children, st.integers(0, 3)).map(lambda t: "(%s)^%d" % t),
+        children.map(lambda c: "-(%s)" % c),
+    )
+
+
+_EXPRESSIONS = st.recursive(_LEAVES, _combine, max_leaves=8)
+_RATIONALS = st.fractions(min_value=-3, max_value=3, max_denominator=5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(_EXPRESSIONS, st.dictionaries(st.sampled_from(["t", "s"]), _RATIONALS))
+def test_parse_at_a_point_equals_parse_then_specialize(src, point):
+    variables = ("x", "y")
+    free = tuple(p for p in ("t", "s") if p not in point)
+    reference = parse_poly(src, VarCtx(variables, ("t", "s"))).specialize_params(point)
+    assert parse_poly(src, VarCtx(variables, free), point) == reference
 
 
 # ---------------------------------------------------------------------------

@@ -6,7 +6,7 @@ from fractions import Fraction
 
 import pytest
 
-from localstd import (SingularityClass, VarCtx, WeightVector,
+from localstd import (CoeffField, SingularityClass, VarCtx, WeightVector,
                       ade_normal_form, adjacency_target, build_versal_family,
                       classify_simple, hessian_corank, milnor_local,
                       milnor_orlik, parse_poly, sample_witness,
@@ -220,9 +220,8 @@ def test_verify_stratum_d6_d4_example():
 def test_verify_stratum_e6_v1_zero_branch_collapses_to_d4():
     # specializing the A3 family at v1 -> 0 lands in the D4 stratum
     cat = {s.name: s for s in stratum_catalog(C("E6"))}
-    fam = cat["W2^3"].family()
-    f = fam.specialize_params({"v1": Fraction(0), "u": Fraction(1, 2),
-                               "v3": Fraction(1)})
+    f = cat["W2^3"].family({"v1": Fraction(0), "u": Fraction(1, 2),
+                            "v3": Fraction(1)})
     assert milnor_local(f).dimension == 4
     assert tyurina_local(f).dimension == 4
 
@@ -240,6 +239,22 @@ def test_verify_stratum_rejects_bad_witness():
         verify_stratum(C("E6"), cat["V&V0^2"], {"a": Fraction(0)})
     with pytest.raises(ValueError):
         verify_stratum(C("E6"), cat["V&V0^2"], {})
+
+
+def test_strata_path_builds_no_parametric_field(monkeypatch):
+    # witnesses are rational points, so checking a stratum never needs Q(params)
+    built = []
+    init = CoeffField.__init__
+
+    def spy(self, params):
+        built.append(tuple(params))
+        init(self, params)
+
+    monkeypatch.setattr(CoeffField, "__init__", spy)
+    rng = random.Random(3)
+    for s in stratum_catalog(C("E6")):
+        assert verify_stratum(C("E6"), s, sample_witness(s, rng)).ok
+    assert all(params == () for params in built)
 
 
 def test_d6_a5_stratum_uses_rational_avatar():

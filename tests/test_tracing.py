@@ -6,7 +6,10 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from localstd import VarCtx, engines, milnor_local, parse_poly
+from fractions import Fraction
+
+from localstd import (SingularityClass, VarCtx, engines, milnor_local, parse_poly,
+                      stratum_catalog, verify_stratum)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -28,3 +31,21 @@ def test_tracer_installs_over_every_boundary_and_uninstalls(monkeypatch):
     assert calls["engines.completion"] == 1
     assert calls["engines.weak_nf"] >= 1
     assert not hasattr(engines._weak_nf, "__wrapped__")
+
+
+def test_tracer_sees_the_parser_on_the_strata_path(monkeypatch):
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    e6 = SingularityClass.parse("E6")
+    stratum = {s.name: s for s in stratum_catalog(e6)}["V0^2"]
+    witness = {"v3": Fraction(2, 3), "v4": Fraction(1, 5)}
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        assert verify_stratum(e6, stratum, witness).ok
+    finally:
+        tracer.uninstall()
+    calls = {name: c for name, (c, _, _) in tracer.snapshot().items()}
+    assert calls["singularities.eval_param_expr"] >= 1
+    assert calls["parser.parse"] > calls["singularities.eval_param_expr"]
