@@ -14,11 +14,27 @@ arithmetic, equality and leading terms apply to them, and ``_primitive``
 stands in for ``Poly.primitive``.  A field computation would give the same
 intermediate polynomials up to a unit; zero tests, leading monomials and
 ecarts do not see the unit, so both take the same steps.
+
+Mora's algorithm over Q truncates at the highest corner (Greuel-Pfister, *A
+Singular Introduction to Commutative Algebra*, 1.7).  Under ``neg_grevlex``
+(any permutation) the leading monomial of a polynomial has its lowest
+degree.  So once the leading monomials of the basis leave finitely many
+standard monomials, of top degree k - 1, every monomial of degree k leads an
+element of the ideal whose other terms have degree k or more; these span
+m^k modulo m^(k+1), and by Nakayama m^k lies in the ideal of the local ring.
+From then on every term of degree k or more is dropped from S-polynomials,
+weak-normal-form steps and basis elements: that changes each by an element
+of the ideal and never touches a leading monomial (one of degree k or more
+is kept as a basis element on its own).  Only the tails of the basis
+elements change, and by terms in m^k.  Parametric inputs are not truncated:
+the leading coefficients that certify the corner would have to become
+assumptions.  Other local orders are not degree-compatible.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import le
 from typing import Iterable, Optional
 
 from .orders import MonomialOrder, OrderClass
@@ -74,10 +90,15 @@ class PolySet:
 
 
 class _Budget:
-    __slots__ = ("left",)
+    """The state of one engine call: the steps left and, once a Mora
+    completion over Q knows it, the corner degree k with m^k inside the
+    ideal, above which terms are dropped."""
+
+    __slots__ = ("left", "corner")
 
     def __init__(self, steps: Optional[int]):
         self.left = DEFAULT_STEP_BUDGET if steps is None else steps
+        self.corner: Optional[int] = None
 
     def tick(self, n: int = 1):
         self.left -= n
@@ -124,14 +145,51 @@ def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     return _from_ring(_spoly(_to_ring(f)[0], _to_ring(g)[0], order))
 
 
-def _spoly(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
-    """s_polynomial on ring coefficients."""
+def _spoly(f: Poly, g: Poly, order: MonomialOrder,
+           corner: Optional[int] = None) -> Poly:
+    """s_polynomial on ring coefficients, truncated below the corner."""
     cf, mf = f.leading_term(order)
     cg, mg = g.leading_term(order)
     l = mf.lcm(mg)
     a = f.mul_term(cg, l.quo(mf))
     b = g.mul_term(cf, l.quo(mg))
-    return _primitive(a - b, order)
+    return _primitive(_truncate(a - b, corner), order)
+
+
+def _truncate(p: Poly, corner: Optional[int]) -> Poly:
+    """p without its terms of degree corner or more; p when corner is None."""
+    if corner is None:
+        return p
+    kept = {m: c for m, c in p.items() if m.degree < corner}
+    return p if len(kept) == len(p) else Poly(p.ctx, kept)
+
+
+def _corner(leading: list[Monomial], arity: int) -> Optional[int]:
+    """1 + the top degree of the monomials outside the ideal the leading
+    monomials generate, or None when they are infinitely many.  The leading
+    monomials must not include 1."""
+    if not all(any(m.is_pure_power_of(i) for m in leading) for i in range(arity)):
+        return None
+    # The standard monomials are closed under division: grow them degree by
+    # degree from 1.  m * x_i, with m standard, can only be divisible by a
+    # leading monomial with the same exponent of x_i.
+    by_exponent = {}
+    for l in leading:
+        for i, e in enumerate(l):
+            if e:
+                by_exponent.setdefault((i, e), []).append(l)
+    k = 0
+    level = {Monomial.unit(arity)}
+    while level:
+        k += 1
+        up = set()
+        for m in level:
+            for i in range(arity):
+                n = m[:i] + (m[i] + 1,) + m[i + 1:]
+                if not any(all(map(le, l, n)) for l in by_exponent.get((i, n[i]), ())):
+                    up.add(n)
+        level = up
+    return k
 
 
 def ecart(f: Poly, order: MonomialOrder) -> int:
@@ -233,7 +291,7 @@ def _weak_nf(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -
             pool.append(h)
             pool_lm.append(mh)
             pool_ecart.append(eh)
-        h = _spoly(h, pool[best], order)
+        h = _spoly(h, pool[best], order, budget.corner)
     return h
 
 
@@ -302,30 +360,54 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
 
     Completion runs on ring coefficients: the seed is cleared of
     denominators and made primitive, and the basis is returned over the
-    field."""
+    field.
+
+    Under neg_grevlex over Q (a local order, so the reducer is the weak
+    normal form) the run truncates at the highest corner; see the module
+    docstring.  The corner is recomputed only before a pair is reduced, and
+    only after a leading monomial of degree below it has arrived."""
     f: list[Poly] = []
     lm: list[Monomial] = []
     G: set[int] = set()
     P: set[tuple[int, int]] = set()
+    seed = [_primitive(_to_ring(p)[0], order) for p in seed]
+    truncating = order.kind == "neg_grevlex" and not seed[0].ctx.field.params
+    stale = False
 
     def add(p: Poly):
-        nonlocal G, P
+        nonlocal G, P, stale
         f.append(p)
         lm.append(p.leading_monomial(order))
+        if truncating and (budget.corner is None or lm[-1].degree < budget.corner):
+            stale = True
         G, P = _update(G, P, len(f) - 1, f, lm, order)
 
+    def refresh_corner():
+        nonlocal stale
+        stale = False
+        k = _corner([lm[i] for i in G], f[0].ctx.arity)
+        if k is None or k == budget.corner:
+            return
+        budget.corner = k
+        for i, p in enumerate(f):
+            q = _truncate(p, k)
+            if q is not p:
+                # an element inside m^k is kept as its leading monomial
+                f[i] = _primitive(q, order) or Poly(p.ctx, {lm[i]: 1})
+
     for p in seed:
-        p = _primitive(_to_ring(p)[0], order)
         if p not in f:
             add(p)
 
     # Once a unit is in G, every reduction gives zero (its leading monomial 1
     # divides every monomial), so the pairs left cannot change G.
     while P and all(lm[k].degree for k in G):
+        if stale:
+            refresh_corner()
         i, j = _select_pair(P, lm, order)
         P.remove((i, j))
         budget.tick()
-        sp = _spoly(f[i], f[j], order)
+        sp = _spoly(f[i], f[j], order, budget.corner)
         if sp.is_zero():
             continue
         h = reducer(sp, [f[k] for k in sorted(G)], order, budget)

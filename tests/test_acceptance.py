@@ -294,7 +294,7 @@ EXPECTED_STRATA = {
 
 
 def test_criterion_6_stratification_witnesses(acceptance):
-    clock = _Clock(120.0)
+    clock = _Clock(15.0)
     failures = []
     for name, table in EXPECTED_STRATA.items():
         cls = SingularityClass.parse(name)
@@ -314,7 +314,7 @@ def test_criterion_6_stratification_witnesses(acceptance):
                     failures.append((name, sname, witness, rec.mu, rec.tau,
                                      str(rec.classified)))
     ok = not failures and clock.check()
-    acceptance("6. stratification witness suite D6/E6/E7/E8 (<120s)", ok,
+    acceptance("6. stratification witness suite D6/E6/E7/E8 (<15s)", ok,
                "failures=%s elapsed_ok=%s" % (failures[:3], clock.check()))
 
 

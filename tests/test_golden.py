@@ -21,8 +21,9 @@ from pathlib import Path
 
 import pytest
 
-from localstd import (PolySet, VarCtx, grevlex, parse_poly, s_polynomial,
-                      weak_normal_form)
+from localstd import (Poly, PolySet, VarCtx, grevlex, milnor_local,
+                      neg_grevlex, parse_poly, s_polynomial, standard_basis,
+                      tyurina_local, weak_normal_form)
 from localstd.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -163,6 +164,62 @@ def test_parametric_denominator_of_an_input_cancels_the_content_factor():
     assert s_polynomial(f, g, grevlex()) == P("t*x*y^2 - y^2")
     h = P("x^2*y + (2*t+1)*t*y^3")
     assert weak_normal_form(h, PolySet([f], grevlex())) == P("t*y^3 - y^2")
+
+
+# Local bases of parameter-free runs from Mora's algorithm without the
+# highest-corner truncation.
+_UNTRUNCATED = [
+    (milnor_local, _Q, ["x^5 - 35/16416*y^6 - 425/4104*x*y^5 + 245/8208*x^2*y^4",
+                        "x^3*y - 49*x^4 + 245/48*y^5 - 35/24*x*y^4",
+                        "x*y^2 - 1/7*x^2*y + 5/24*y^4",
+                        "y^3 - 3/7*x*y^2 + 2*x^3"]),
+    (tyurina_local, _Q, ["x^5 - 2717/32820*x*y^5 + 49/2188*x^2*y^4",
+                         "x^3*y - 49*x^4 + 49/12*y^5 - 35/24*x*y^4",
+                         "x*y^2 - 1/7*x^2*y + 5/24*y^4",
+                         "y^3 - 3/7*x*y^2 + 2*x^3"]),
+    (milnor_local, "x^3 + y^4 + x*y^2", ["x^3 - 2/3*y^4", "x*y + 2*y^3",
+                                        "y^2 + 3*x^2"]),
+]
+
+
+@pytest.mark.parametrize("pipeline,src,old", _UNTRUNCATED,
+                         ids=["milnor", "tyurina", "demo-02"])
+def test_truncated_basis_is_the_old_one_below_the_corner(pipeline, src, old):
+    # m^k lies in the ideal for k = 1 + the top degree of the quotient basis,
+    # so the old tails of degree k or more were path-dependent elements of
+    # the ideal; an element with nothing below k is its leading monomial.
+    ctx = VarCtx(["x", "y"])
+    report = pipeline(parse_poly(src, ctx))
+    k = 1 + max(m.degree for m in report.quotient_basis)
+    want = []
+    for p in (parse_poly(s, ctx) for s in old):
+        below = {m: c for m, c in p.items() if m.degree < k}
+        want.append(Poly(ctx, below or {p.leading_monomial(report.order): ctx.field.one}))
+    assert list(report.basis) == want
+    assert any(len(p) < len(parse_poly(s, ctx)) for p, s in zip(report.basis, old))
+
+
+def test_corner_of_a_run_does_not_reach_later_calls():
+    assert tyurina_local(parse_poly(_Q, VarCtx(["x", "y"]))).dimension == 9
+    ctx = VarCtx(["x", "y"], ["t"])
+    report = tyurina_local(parse_poly(_QT_CONTENT, ctx))
+    assert "2*t + 1" in [ctx.field.to_str(a) for a in report.genericity_assumptions]
+    # the public engines on parametric input give their stored answers
+    stored = next(json.loads(run["stdout"])["result"]
+                  for run in _stored(CLI_FILE) if run["argv"][0] == "std-basis")
+    gens = [parse_poly(s, ctx) for s in ("2*x + t*y^2 + x^2",
+                                         "3*y^2 + t*x*y + 1/4*y^3")]
+    basis = standard_basis(PolySet(gens, neg_grevlex()))
+    assert [p.to_str(neg_grevlex()) for p in basis] == stored["basis"]
+    ctxp = VarCtx(["Y", "Z"], ["v0", "v1", "v2", "v3", "v4"])
+    FL = parse_poly("Y^2*Z + Z^5 + v0*Y*Z + v1*Y^2 + v2*Z^2 + v3*Z^3 + v4*Z^4", ctxp)
+    g1, g2 = FL.partial_derivative(0), FL.partial_derivative(1)
+    h = weak_normal_form(s_polynomial(g1, g2, neg_grevlex()),
+                         PolySet([g1, g2], neg_grevlex()))
+    c, m = h.leading_term(neg_grevlex())
+    line = "    (%s) * %s" % (ctxp.field.to_str(c), m.to_str(ctxp.variables))
+    demo = (GOLDEN / "demos" / "02_division_and_bases.out").read_text(encoding="utf-8")
+    assert demo.splitlines()[-1] == line
 
 
 def _write_golden():

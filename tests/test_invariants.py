@@ -1,8 +1,11 @@
 """The six invariant pipelines and their bookkeeping helpers."""
 
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from localstd import (Monomial, NonIsolatedError, OrderClassError, VarCtx,
                       grevlex, is_zero_dimensional,
@@ -277,6 +280,76 @@ def test_fused_local_part_lists_the_tyurina_jump_at_t_minus_one_half():
     field, plain = f.ctx.field, f.ctx.without_params(["t"]).field
     assert any(plain.is_zero(field.specialize(a, t0, plain))
                for a in local.genericity_assumptions)
+
+
+# ---------------------------------------------------------------------------
+# highest-corner truncation, checked against the benchmark's own linear algebra
+# ---------------------------------------------------------------------------
+
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def checks():
+    """perfbench/checks.py, which shares no code with the engines."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import checks
+        yield checks
+
+
+def _reference_dims(checks, src, variables):
+    p = checks.evaluate(src, variables.split(","))
+    return checks.local_mu_tau(p, len(variables.split(",")))
+
+
+def test_milnor_local_finishes_on_the_milnor_orlik_germ(checks):
+    # mu = 90 by Milnor-Orlik; untruncated, Mora's coefficients reach
+    # hundreds of thousands of bits here
+    src = "x^7 + y^16 - 2*x*y^14 + 2*x^5*y^6"
+    r = milnor_local(P(src), step_budget=20000)
+    assert r.dimension == 90 == _reference_dims(checks, src, "x,y")[0]
+
+
+def test_tyurina_local_finishes_on_the_three_variable_germ(checks):
+    src = "x^3 + y^3 + z^3 + 3*x^2*z^2 - 3*x^2*y^2 + 2*x^2*y^2*z"
+    r = tyurina_local(P(src, "x,y,z"), step_budget=20000)
+    assert r.dimension == 8 == _reference_dims(checks, src, "x,y,z")[1]
+
+
+@st.composite
+def singular_germs(draw):
+    """A pure power of every variable plus up to three terms of degree two or
+    more with small rational coefficients."""
+    variables = draw(st.sampled_from(["x,y", "x,y", "x,y,z"]))
+    names = variables.split(",")
+    tops = [draw(st.integers(2, 7 if len(names) == 2 else 4)) for _ in names]
+    terms = ["%s^%d" % (v, e) for v, e in zip(names, tops)]
+    for _ in range(draw(st.integers(0, 3))):
+        exps = [draw(st.integers(0, e)) for e in tops]
+        num = draw(st.sampled_from([-3, -2, -1, 1, 2, 3]))
+        den = draw(st.integers(1, 4))
+        if sum(exps) >= 2:
+            terms.append("%d/%d*%s" % (num, den, "*".join(
+                "%s^%d" % (v, e) for v, e in zip(names, exps))))
+    return " + ".join(terms), variables, sum(tops)
+
+
+@settings(max_examples=60, deadline=None)
+@given(singular_germs())
+def test_local_dimensions_equal_the_truncated_rank_count(checks, germ):
+    src, variables, reach = germ
+    arity = len(variables.split(","))
+    p = checks.evaluate(src, variables.split(","))
+    jac = checks.jacobian(p, arity)
+    try:
+        mu = checks.local_algebra_dim(jac, arity, k_max=reach)
+        tau = checks.local_algebra_dim([p] + jac, arity, k_max=reach)
+    except ValueError:
+        assume(False)  # not isolated, or not settled within reach
+    f = P(src, variables)
+    assert milnor_local(f, step_budget=20000).dimension == mu
+    assert tyurina_local(f, step_budget=20000).dimension == tau
 
 
 def test_fused_order_guards():
