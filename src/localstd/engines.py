@@ -22,11 +22,14 @@ degree.  So once the leading monomials of the basis leave finitely many
 standard monomials, of top degree k - 1, every monomial of degree k leads an
 element of the ideal whose other terms have degree k or more; these span
 m^k modulo m^(k+1), and by Nakayama m^k lies in the ideal of the local ring.
-From then on every term of degree k or more is dropped from S-polynomials,
-weak-normal-form steps and basis elements: that changes each by an element
-of the ideal and never touches a leading monomial (one of degree k or more
-is kept as a basis element on its own).  Only the tails of the basis
-elements change, and by terms in m^k.  Parametric inputs are not truncated:
+From then on every term of degree k or more is dropped from S-polynomials
+and weak-normal-form steps, and from the basis elements present whenever k
+is recomputed: that changes each by an element of the ideal and never
+touches a leading monomial (one of degree k or more is kept as a basis
+element on its own).  Only the tails of the basis elements change, and by
+terms in m^k.  An element added after the last recomputation, or a seed
+element of a run that reduces no pair, keeps its tail above the final k, so
+the returned tails are not canonical.  Parametric inputs are not truncated:
 the leading coefficients that certify the corner would have to become
 assumptions.  Other local orders are not degree-compatible.
 """
@@ -34,7 +37,6 @@ assumptions.  Other local orders are not degree-compatible.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import le
 from typing import Iterable, Optional
 
 from .orders import MonomialOrder, OrderClass
@@ -162,34 +164,6 @@ def _truncate(p: Poly, corner: Optional[int]) -> Poly:
         return p
     kept = {m: c for m, c in p.items() if m.degree < corner}
     return p if len(kept) == len(p) else Poly(p.ctx, kept)
-
-
-def _corner(leading: list[Monomial], arity: int) -> Optional[int]:
-    """1 + the top degree of the monomials outside the ideal the leading
-    monomials generate, or None when they are infinitely many.  The leading
-    monomials must not include 1."""
-    if not all(any(m.is_pure_power_of(i) for m in leading) for i in range(arity)):
-        return None
-    # The standard monomials are closed under division: grow them degree by
-    # degree from 1.  m * x_i, with m standard, can only be divisible by a
-    # leading monomial with the same exponent of x_i.
-    by_exponent = {}
-    for l in leading:
-        for i, e in enumerate(l):
-            if e:
-                by_exponent.setdefault((i, e), []).append(l)
-    k = 0
-    level = {Monomial.unit(arity)}
-    while level:
-        k += 1
-        up = set()
-        for m in level:
-            for i in range(arity):
-                n = m[:i] + (m[i] + 1,) + m[i + 1:]
-                if not any(all(map(le, l, n)) for l in by_exponent.get((i, n[i]), ())):
-                    up.add(n)
-        level = up
-    return k
 
 
 def ecart(f: Poly, order: MonomialOrder) -> int:
@@ -372,6 +346,7 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
     P: set[tuple[int, int]] = set()
     seed = [_primitive(_to_ring(p)[0], order) for p in seed]
     truncating = order.kind == "neg_grevlex" and not seed[0].ctx.field.params
+    arity = seed[0].ctx.arity
     stale = False
 
     def add(p: Poly):
@@ -383,10 +358,17 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
         G, P = _update(G, P, len(f) - 1, f, lm, order)
 
     def refresh_corner():
+        # The standard monomials are enumerated in invariants (where the
+        # benchmark profile counts them), which imports this module.
+        from .invariants import is_zero_dimensional, standard_monomials
         nonlocal stale
         stale = False
-        k = _corner([lm[i] for i in G], f[0].ctx.arity)
-        if k is None or k == budget.corner:
+        leading = [lm[i] for i in G]
+        if not is_zero_dimensional(leading, arity):
+            return
+        # no unit leads an element of G here, so 1 is a standard monomial
+        k = 1 + max(m.degree for m in standard_monomials(leading, arity))
+        if k == budget.corner:
             return
         budget.corner = k
         for i, p in enumerate(f):

@@ -111,20 +111,25 @@ def _monomials_capped(arity: int, caps):
     yield from rec(0)
 
 
-def quotient_basis(leading, arity: int, order: MonomialOrder):
-    """Standard monomials, ascending under the order.
+def standard_monomials(leading, arity: int) -> list[Monomial]:
+    """The monomials no leading monomial divides, in no particular order.
 
     Every variable has a pure power in the leading set, which caps its
-    exponent; the box below the caps holds every standard monomial.
+    exponent; the box below the caps holds every standard monomial, and no
+    pure power divides a monomial of the box.
     """
     if not is_zero_dimensional(leading, arity):
         raise ValueError("leading ideal is not zero-dimensional")
     caps = [min(m[i] for m in leading if m.is_pure_power_of(i))
             for i in range(arity)]
-    survivors = [m for m in _monomials_capped(arity, caps)
-                 if not any(l.divides(m) for l in leading)]
-    survivors.sort(key=order.sort_key)
-    return survivors
+    mixed = [l for l in leading if sum(map(bool, l)) > 1]
+    return [m for m in _monomials_capped(arity, caps)
+            if not any(l.divides(m) for l in mixed)]
+
+
+def quotient_basis(leading, arity: int, order: MonomialOrder):
+    """Standard monomials, ascending under the order."""
+    return sorted(standard_monomials(leading, arity), key=order.sort_key)
 
 
 # ---------------------------------------------------------------------------

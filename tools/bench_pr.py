@@ -1,14 +1,16 @@
 """Before/after benchmark of a change: ``perfbench/run.py`` on every workload,
-for a parent commit and for this checkout, in alternating pairs.
+for a parent commit and for this checkout, in ten alternating pairs per seed.
 
-    python3 tools/bench_pr.py --parent HEAD~1 --out BENCH_7.json --seeds 1 --pairs 5
+    python3 tools/bench_pr.py --parent HEAD~1 --out BENCH_7.json --seeds 1
 
 The parent is exported with ``git archive`` into a temporary directory.  Each
 pair runs both versions back to back, the one going first alternating from
-pair to pair, so that drift in machine speed falls on both alike.  The output
-file holds, per workload, the median and quartiles of every end-to-end
-metric named in BENCHMARK.json for each version, how many pairs the change
-won on each, and the failed share of operations.
+pair to pair, so that drift in machine speed falls on both alike.  Every
+run lasts ``run_seconds`` of BENCHMARK.json and covers its workloads; ten
+pairs is the fewest on which a claimed gain can win nine.  The output file
+holds, per workload, the median and quartiles of every end-to-end metric
+named in BENCHMARK.json for each version, how many pairs the change won on
+each, and the failed share of operations.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+PAIRS = 10
 
 
 def parse_args(argv):
@@ -34,11 +37,6 @@ def parse_args(argv):
     ap.add_argument("--parent", required=True, help="git revision to compare against")
     ap.add_argument("--out", required=True, help="JSON file to write")
     ap.add_argument("--seeds", default="1", help="comma-separated workload seeds")
-    ap.add_argument("--pairs", type=int, default=5, help="parent/change pairs per seed")
-    ap.add_argument("--seconds", type=float, default=None,
-                    help="seconds per run (default: run_seconds of BENCHMARK.json)")
-    ap.add_argument("--workloads", default=None,
-                    help="comma-separated workloads (default: those of BENCHMARK.json)")
     return ap.parse_args(argv)
 
 
@@ -93,9 +91,8 @@ def summarize(runs, metrics) -> dict:
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    seconds = args.seconds if args.seconds is not None else bench["run_seconds"]
-    workloads = (args.workloads.split(",") if args.workloads
-                 else [w["name"] for w in bench["workloads"]])
+    seconds = bench["run_seconds"]
+    workloads = [w["name"] for w in bench["workloads"]]
     seeds = [int(s) for s in args.seeds.split(",")]
     parent_rev = git("rev-parse", args.parent)
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
@@ -105,7 +102,7 @@ def main(argv=None) -> int:
         for workload in workloads:
             runs = []
             for seed in seeds:
-                for i in range(args.pairs):
+                for i in range(PAIRS):
                     sides = [(parent, 0), (ROOT, 1)]
                     if i % 2:
                         sides.reverse()
@@ -119,7 +116,7 @@ def main(argv=None) -> int:
             result[workload] = summarize(runs, bench["end_to_end"])
     meta = {"parent": parent_rev, "change": git("rev-parse", "HEAD"),
             "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-            "seeds": seeds, "pairs_per_seed": args.pairs, "run_seconds": seconds,
+            "seeds": seeds, "pairs_per_seed": PAIRS, "run_seconds": seconds,
             "date": time.strftime("%Y-%m-%d", time.gmtime()),
             "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                         "processor": platform.machine()},
