@@ -322,9 +322,10 @@ def _update(G, P, ih, f, lm, order):
 
 def _select_pair(P, lm, order):
     """Normal selection: minimal lcm (degree first, then order key)."""
+    key = order.key(len(lm[0]))
     def rank(pair):
         l = lm[pair[0]].lcm(lm[pair[1]])
-        return (l.degree, order.sort_key(l), pair)
+        return (l.degree, key(l), pair)
     return min(P, key=rank)
 
 

@@ -129,7 +129,7 @@ def standard_monomials(leading, arity: int) -> list[Monomial]:
 
 def quotient_basis(leading, arity: int, order: MonomialOrder):
     """Standard monomials, ascending under the order."""
-    return sorted(standard_monomials(leading, arity), key=order.sort_key)
+    return sorted(standard_monomials(leading, arity), key=order.key(arity))
 
 
 # ---------------------------------------------------------------------------

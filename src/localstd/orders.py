@@ -8,8 +8,9 @@ is a direct probe of 1 against each variable.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
+from operator import itemgetter, mul, neg
 from typing import Optional
 
 
@@ -37,6 +38,7 @@ class MonomialOrder:
     perm: Optional[tuple[int, ...]] = None
     weights: Optional[tuple[Fraction, ...]] = None
     tiebreak: Optional["MonomialOrder"] = None
+    _keys: dict = field(default_factory=dict, init=False, compare=False, repr=False)
 
     _KINDS = ("grevlex", "lex", "neg_grevlex", "neg_lex", "weighted")
 
@@ -51,41 +53,48 @@ class MonomialOrder:
 
     # -- comparison -------------------------------------------------------
 
-    def _perm_for(self, arity: int) -> tuple[int, ...]:
-        if self.perm is None:
-            return tuple(range(arity))
-        if len(self.perm) != arity or sorted(self.perm) != list(range(arity)):
+    def key(self, arity: int):
+        """Sort key on monomials of this arity: key(a) < key(b) iff a < b.
+
+        Built and checked against the arity once, then kept on the order."""
+        k = self._keys.get(arity)
+        if k is None:
+            k = self._keys[arity] = self._compile(arity)
+        return k
+
+    def _compile(self, arity: int):
+        perm = tuple(range(arity)) if self.perm is None else self.perm
+        if sorted(perm) != list(range(arity)):
             raise OrderDefinitionError("permutation %r does not fit arity %d"
                                        % (self.perm, arity))
-        return self.perm
+        kind = self.kind
+        # exponents in significance order, reversed for the degree orders; a
+        # non-identity index tuple has two or more entries
+        idx = perm[::-1] if kind in ("grevlex", "neg_grevlex") else perm
+        pick = tuple if idx == tuple(range(arity)) else itemgetter(*idx)
+        if kind == "grevlex":
+            return lambda mon: (sum(mon), *map(neg, pick(mon)))
+        if kind == "neg_grevlex":
+            return lambda mon: (-sum(mon), *pick(mon))
+        if kind == "lex":
+            return pick
+        if kind == "neg_lex":
+            return lambda mon: tuple(map(neg, pick(mon)))
+        if len(self.weights) != arity:
+            raise OrderDefinitionError("weight vector does not fit arity %d" % arity)
+        # the tie-break sees the variables in significance order
+        weights, tiebreak = self.weights, self.tiebreak.key(arity)
+        return lambda mon: (sum(map(mul, weights, mon)), *tiebreak(pick(mon)))
 
     def sort_key(self, mon):
         """Tuple such that key(a) < key(b) iff a < b under this order."""
-        arity = len(mon)
-        perm = self._perm_for(arity)
-        kind = self.kind
-        if kind == "grevlex":
-            return (sum(mon),) + tuple(-mon[i] for i in reversed(perm))
-        if kind == "lex":
-            return tuple(mon[i] for i in perm)
-        if kind == "neg_grevlex":
-            return (-sum(mon),) + tuple(mon[i] for i in reversed(perm))
-        if kind == "neg_lex":
-            return tuple(-mon[i] for i in perm)
-        # weighted
-        if len(self.weights) != arity:
-            raise OrderDefinitionError("weight vector does not fit arity %d" % arity)
-        w = sum(wi * e for wi, e in zip(self.weights, mon))
-        if self.perm is not None:
-            # the tie-break sees the variables in significance order
-            mon = tuple(mon[i] for i in perm)
-        return (w,) + tuple(self.tiebreak.sort_key(mon))
+        return self.key(len(mon))(mon)
 
     def compare(self, a, b) -> int:
         """-1, 0 or 1 as a <, =, > b.  Arity mismatch is an error."""
         if len(a) != len(b):
             raise ValueError("monomials of different arity")
-        ka, kb = self.sort_key(a), self.sort_key(b)
+        ka, kb = map(self.key(len(a)), (a, b))
         return (ka > kb) - (ka < kb)
 
     def greater(self, a, b) -> bool:
@@ -199,5 +208,5 @@ def parse_order(spec: str, variables) -> MonomialOrder:
     else:
         raise OrderDefinitionError("unknown order kind %r" % kind)
     # validate the fit against the arity right away
-    order.sort_key((0,) * len(list(variables)))
+    order.key(len(list(variables)))
     return order

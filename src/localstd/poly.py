@@ -9,9 +9,13 @@ coefficients, no explicit zeros).
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, sub
 from typing import Iterable, Mapping
 
 from .coeffs import CoeffField
+from .orders import grevlex
+
+_DEFAULT_ORDER = grevlex()
 
 
 class ContextMismatchError(ValueError):
@@ -28,16 +32,16 @@ class Monomial(tuple):
         return sum(self)
 
     def mul(self, other: "Monomial") -> "Monomial":
-        return Monomial(a + b for a, b in zip(self, other))
+        return Monomial(map(add, self, other))
 
     def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self, other))
+        return all(map(le, self, other))
 
     def quo(self, other: "Monomial") -> "Monomial":
-        return Monomial(a - b for a, b in zip(self, other))
+        return Monomial(map(sub, self, other))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(max(a, b) for a, b in zip(self, other))
+        return Monomial(map(max, self, other))
 
     def is_pure_power_of(self, i: int) -> bool:
         """True when every exponent except possibly the i-th is zero."""
@@ -137,14 +141,18 @@ def _require_same_ctx(p: "Poly", q: "Poly"):
 
 
 class Poly:
-    """Immutable sparse polynomial; term dict maps Monomial -> field element."""
+    """Immutable sparse polynomial; term dict maps Monomial -> field element.
 
-    __slots__ = ("ctx", "_t", "_hash")
+    No code changes the term dict after construction, so the leading term is
+    cached with the order object it was last asked under."""
+
+    __slots__ = ("ctx", "_t", "_hash", "_lead")
 
     def __init__(self, ctx: VarCtx, terms: dict):
         self.ctx = ctx
         self._t = terms
         self._hash = None
+        self._lead = None
 
     # -- basic views -----------------------------------------------------
 
@@ -169,9 +177,7 @@ class Poly:
     def terms(self, order=None):
         """Term list sorted strictly descending under the given order
         (grevlex in declaration order when omitted)."""
-        from .orders import grevlex
-        o = order if order is not None else grevlex()
-        key = o.sort_key
+        key = (order or _DEFAULT_ORDER).key(self.ctx.arity)
         return [(self._t[m], m) for m in sorted(self._t, key=key, reverse=True)]
 
     def total_degree(self) -> int:
@@ -343,7 +349,7 @@ class Poly:
             return self
         f = self.ctx.field
         if order is not None:
-            lead = max(self._t, key=order.sort_key)
+            lead = self.leading_term(order)[1]
             coeffs = [self._t[lead]] + [c for m, c in self._t.items() if m != lead]
         else:
             coeffs = [c for _, c in sorted(self._t.items())]
@@ -361,10 +367,12 @@ class Poly:
     # -- leading data ----------------------------------------------------------
 
     def leading_term(self, order):
-        if not self._t:
-            raise ValueError("zero polynomial has no leading term")
-        m = max(self._t, key=order.sort_key)
-        return self._t[m], m
+        if self._lead is None or self._lead[0] is not order:
+            if not self._t:
+                raise ValueError("zero polynomial has no leading term")
+            m = max(self._t, key=order.key(self.ctx.arity))
+            self._lead = order, (self._t[m], m)
+        return self._lead[1]
 
     def leading_monomial(self, order) -> Monomial:
         return self.leading_term(order)[1]

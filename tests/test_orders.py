@@ -148,6 +148,75 @@ def test_global_has_one_minimal_local_has_one_maximal():
 
 
 # ---------------------------------------------------------------------------
+# the compiled key against the plain formulas
+# ---------------------------------------------------------------------------
+
+def reference_sort_key(order, mon):
+    """The sort key as plain formulas, rebuilt and checked on every call."""
+    arity = len(mon)
+    perm = tuple(range(arity)) if order.perm is None else order.perm
+    assert sorted(perm) == list(range(arity))
+    if order.kind == "grevlex":
+        return (sum(mon),) + tuple(-mon[i] for i in reversed(perm))
+    if order.kind == "lex":
+        return tuple(mon[i] for i in perm)
+    if order.kind == "neg_grevlex":
+        return (-sum(mon),) + tuple(mon[i] for i in reversed(perm))
+    if order.kind == "neg_lex":
+        return tuple(-mon[i] for i in perm)
+    assert len(order.weights) == arity
+    w = sum(wi * e for wi, e in zip(order.weights, mon))
+    if order.perm is not None:
+        mon = tuple(mon[i] for i in perm)
+    return (w,) + reference_sort_key(order.tiebreak, mon)
+
+
+PLAIN_KINDS = ("grevlex", "lex", "neg_grevlex", "neg_lex")
+
+
+@st.composite
+def orders_with_monomials(draw):
+    arity = draw(st.integers(1, 4))
+    perm = draw(st.none() | st.permutations(range(arity)).map(tuple))
+    kind = draw(st.sampled_from(PLAIN_KINDS + ("weighted",)))
+    if kind == "weighted":
+        # small weights, so that ties fall to the tie-break often
+        weights = draw(st.lists(st.sampled_from((-1, 0, Fraction(1, 2), 1, 2)),
+                                min_size=arity, max_size=arity))
+        order = weighted(weights, MonomialOrder(draw(st.sampled_from(PLAIN_KINDS))), perm)
+    else:
+        order = MonomialOrder(kind, perm)
+    mon = st.tuples(*(st.integers(0, 5) for _ in range(arity))).map(Monomial)
+    return order, draw(st.lists(mon, min_size=2, max_size=8))
+
+
+@settings(max_examples=300, deadline=None)
+@given(orders_with_monomials())
+def test_compiled_key_orders_like_the_plain_formulas(case):
+    order, mons = case
+    key = order.key(len(mons[0]))
+    assert order.key(len(mons[0])) is key
+    for a in mons:
+        for b in mons:
+            ra, rb = reference_sort_key(order, a), reference_sort_key(order, b)
+            ka, kb = key(a), key(b)
+            assert (ka < kb, ka == kb) == (ra < rb, ra == rb), (order, a, b)
+            assert order.compare(a, b) == (ra > rb) - (ra < rb)
+
+
+@pytest.mark.parametrize("order", [lex(perm=(1, 0)), grevlex(perm=(0, 0, 1)),
+                                   weighted((1, 1, 1), lex(), perm=(2, 1))],
+                         ids=str)
+def test_permutation_that_does_not_fit_the_arity_raises(order):
+    with pytest.raises(OrderDefinitionError, match="does not fit arity 3"):
+        order.sort_key(M(1, 2, 3))
+    with pytest.raises(OrderDefinitionError, match="does not fit arity 3"):
+        order.key(3)
+    with pytest.raises(OrderDefinitionError, match="does not fit arity 3"):
+        parse_order(order.spell(("x", "y", "z")), ("x", "y", "z"))
+
+
+# ---------------------------------------------------------------------------
 # CLI spelling
 # ---------------------------------------------------------------------------
 

@@ -184,6 +184,39 @@ def test_terms_strictly_descending_under_order():
     assert P("x + y") == P("y + x")
 
 
+def test_leading_term_cache_follows_the_order_object():
+    from localstd import lex, neg_grevlex
+    p = P("2*x^3 + x*y - 3*y")
+    g, n = grevlex(), neg_grevlex()
+    x3, y = Monomial((3, 0)), Monomial((0, 1))
+    assert p.leading_term(g) == (2, x3)
+    assert p.leading_term(n) == (-3, y)
+    assert p.leading_term(g) == (2, x3)
+    g2 = grevlex()
+    assert g2 == g and g2 is not g
+    assert p.leading_term(g2) == (2, x3)
+    # same kind, other permutation
+    assert p.leading_term(lex()) == (2, x3)
+    assert p.leading_term(lex(perm=(1, 0))) == (1, Monomial((1, 1)))
+
+
+def test_derived_polynomials_do_not_inherit_a_cached_lead():
+    from localstd import neg_grevlex
+    n = neg_grevlex()
+    p = P("2*x^3 + x*y - 3*y")
+    q = P("4*x^3 + 2*x*y - 6*y")
+    assert p.leading_term(n) == (-3, Monomial((0, 1)))
+    assert q.leading_term(n) == (-6, Monomial((0, 1)))
+    two, one = p.ctx.field.from_fraction(2), p.ctx.field.one
+    derived = [(p + P("5"), (5, Monomial((0, 0)))),
+               (p.scale(two), (-6, Monomial((0, 1)))),
+               (p.mul_term(one, Monomial((1, 0))), (-3, Monomial((1, 1)))),
+               (q.primitive(n), (3, Monomial((0, 1))))]
+    for r, lead in derived:
+        assert r._lead is None
+        assert r.leading_term(n) == lead
+
+
 # ---------------------------------------------------------------------------
 # properties
 # ---------------------------------------------------------------------------

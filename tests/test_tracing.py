@@ -30,6 +30,9 @@ def test_tracer_installs_over_every_boundary_and_uninstalls(monkeypatch):
     calls = {name: c for name, (c, _, _) in tracer.snapshot().items()}
     assert calls["engines.completion"] == 1
     assert calls["engines.weak_nf"] >= 1
+    # the engines still go through the traced methods, cache and compiled key
+    assert calls["poly.leading_term"] >= 1
+    assert calls["orders.classify"] >= 1
     assert not hasattr(engines._weak_nf, "__wrapped__")
 
 
