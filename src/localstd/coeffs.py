@@ -60,11 +60,8 @@ class CoeffField:
 
     def from_fraction(self, q) -> object:
         """Coerce an int / Fraction / QQ element into the field."""
-        if isinstance(q, int):
-            return self.domain.convert(QQ(q))
-        if isinstance(q, Fraction):
-            return self.domain.convert(QQ(q.numerator, q.denominator))
-        return self.domain.convert(q)
+        c = QQ(int(q.numerator), int(q.denominator))
+        return self.domain.field.ground_new(c) if self.params else c
 
     def param(self, name: str):
         if name not in self._gens:

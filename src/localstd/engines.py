@@ -273,48 +273,26 @@ def _weak_nf(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -
 # completion (shared pair machinery)
 # ---------------------------------------------------------------------------
 
-def _update(G, P, ih, f, lm, order):
+def _update(G, P, ih, lm):
     """Gebauer-Moeller pair update: add basis index ih, pruning critical
-    pairs with the product and chain criteria."""
+    pairs with the product and chain criteria.
+
+    Every index whose leading monomial lm[ih] divides leaves G, equal ones
+    included, so the leading monomials in G stay pairwise distinct."""
     mh = lm[ih]
-
-    def lcm_(i, j):
-        return lm[i].lcm(lm[j])
-
-    C = set(G)
-    D = set()
-    while C:
-        ig = min(C)
-        C.remove(ig)
-        mg = lm[ig]
-        l = mh.lcm(mg)
-
-        def divides_lcm(ip):
-            return mh.lcm(lm[ip]).divides(l)
-
-        if mh.mul(mg) == l or (
-                not any(divides_lcm(ip) for ip in C)
-                and not any(divides_lcm(p[1]) for p in D)):
-            D.add((ih, ig))
-
-    E = set()
-    while D:
-        ih_, ig = min(D)
-        D.remove((ih_, ig))
-        if mh.mul(lm[ig]) != mh.lcm(lm[ig]):
-            E.add((ih_, ig))
-
-    P_new = set()
-    while P:
-        ig1, ig2 = min(P)
-        P.remove((ig1, ig2))
-        l = lcm_(ig1, ig2)
-        if (not mh.divides(l)
-                or lcm_(ig1, ih).__eq__(l)
-                or lcm_(ig2, ih).__eq__(l)):
-            P_new.add((ig1, ig2))
-    P_new |= E
-
+    old = sorted(G)
+    lcm_h = {ig: mh.lcm(lm[ig]) for ig in old}
+    coprime = {ig for ig in old if mh.mul(lm[ig]) == lcm_h[ig]}
+    # the chain test for ig looks at the later indices and the kept ones
+    kept = []
+    for n, ig in enumerate(old):
+        if ig in coprime or not any(lcm_h[ip].divides(lcm_h[ig])
+                                    for ip in (*old[n + 1:], *kept)):
+            kept.append(ig)
+    E = {(ih, ig) for ig in kept if ig not in coprime}
+    P_new = {(i, j) for i, j in P
+             if not mh.divides(l := lm[i].lcm(lm[j]))
+             or mh.lcm(lm[i]) == l or mh.lcm(lm[j]) == l} | E
     G_new = {ig for ig in G if not mh.divides(lm[ig])}
     G_new.add(ih)
     return G_new, P_new
@@ -356,7 +334,7 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
         lm.append(p.leading_monomial(order))
         if truncating and (budget.corner is None or lm[-1].degree < budget.corner):
             stale = True
-        G, P = _update(G, P, len(f) - 1, f, lm, order)
+        G, P = _update(G, P, len(f) - 1, lm)
 
     def refresh_corner():
         # The standard monomials are enumerated in invariants (where the
@@ -401,22 +379,14 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
 
 
 def _minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
-    """Drop elements whose leading monomial is a proper multiple of another's.
-
-    Elements sharing the same leading monomial are all kept: with parametric
-    coefficients their leading coefficients carry distinct degeneration data.
-    """
-    ranked = sorted(basis, key=lambda p: (order.sort_key(p.leading_monomial(order)),
-                                          len(p), p.to_str(order)))
-    lms = [p.leading_monomial(order) for p in ranked]
-    keep = []
-    for i, p in enumerate(ranked):
-        mi = lms[i]
-        redundant = any(lms[j].divides(mi) and lms[j] != mi
-                        for j in range(len(ranked)) if j != i)
-        if not redundant:
-            keep.append(p)
-    return keep
+    """Drop elements whose leading monomial is a proper multiple of another's
+    (a seed can be one), and sort by leading monomial.  Completion returns
+    pairwise distinct leading monomials (see _update), so nothing ties."""
+    lms = [p.leading_monomial(order) for p in basis]
+    keep = [p for p, m in zip(basis, lms)
+            if not any(n != m and n.divides(m) for n in lms)]
+    key = order.key(basis[0].ctx.arity)
+    return sorted(keep, key=lambda p: key(p.leading_monomial(order)))
 
 
 def _normalize_output(basis: list[Poly], order: MonomialOrder) -> list[Poly]:

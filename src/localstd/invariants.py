@@ -15,6 +15,10 @@ from .engines import (OrderClassError, PolySet, buchberger, standard_basis)
 from .orders import MonomialOrder, OrderClass, grevlex, neg_grevlex
 from .poly import Monomial, Poly
 
+# the default orders, built once so that every call shares their compiled keys
+_LOCAL_ORDER = neg_grevlex()
+_GLOBAL_ORDER = grevlex()
+
 
 class NonIsolatedError(RuntimeError):
     """The leading ideal is not zero-dimensional."""
@@ -182,7 +186,7 @@ def _run(gens, order, locality, ideal_kind, err_message, step_budget):
 def milnor_local(f: Poly, order: Optional[MonomialOrder] = None,
                  step_budget: Optional[int] = None) -> InvariantReport:
     """Milnor number of the origin: standard basis of the Jacobian ideal."""
-    order = order if order is not None else neg_grevlex()
+    order = order if order is not None else _LOCAL_ORDER
     _require_class(order, f.ctx.arity, OrderClass.LOCAL, "milnor_local")
     return _run(jacobian_ideal(f), order, "local", "jacobian",
                 "the critical point at the origin is not isolated", step_budget)
@@ -190,7 +194,7 @@ def milnor_local(f: Poly, order: Optional[MonomialOrder] = None,
 
 def tyurina_local(f: Poly, order: Optional[MonomialOrder] = None,
                   step_budget: Optional[int] = None) -> InvariantReport:
-    order = order if order is not None else neg_grevlex()
+    order = order if order is not None else _LOCAL_ORDER
     _require_class(order, f.ctx.arity, OrderClass.LOCAL, "tyurina_local")
     return _run(tyurina_ideal(f), order, "local", "tyurina",
                 "the singular point at the origin is not isolated", step_budget)
@@ -199,7 +203,7 @@ def tyurina_local(f: Poly, order: Optional[MonomialOrder] = None,
 def milnor_global(f: Poly, order: Optional[MonomialOrder] = None,
                   step_budget: Optional[int] = None) -> InvariantReport:
     """Milnor number of the polynomial: Groebner basis of the Jacobian ideal."""
-    order = order if order is not None else grevlex()
+    order = order if order is not None else _GLOBAL_ORDER
     _require_class(order, f.ctx.arity, OrderClass.GLOBAL, "milnor_global")
     return _run(jacobian_ideal(f), order, "global", "jacobian",
                 "non-isolated critical points", step_budget)
@@ -207,7 +211,7 @@ def milnor_global(f: Poly, order: Optional[MonomialOrder] = None,
 
 def tyurina_global(f: Poly, order: Optional[MonomialOrder] = None,
                    step_budget: Optional[int] = None) -> InvariantReport:
-    order = order if order is not None else grevlex()
+    order = order if order is not None else _GLOBAL_ORDER
     _require_class(order, f.ctx.arity, OrderClass.GLOBAL, "tyurina_global")
     return _run(tyurina_ideal(f), order, "global", "tyurina",
                 "non-isolated singular points", step_budget)
@@ -215,8 +219,8 @@ def tyurina_global(f: Poly, order: Optional[MonomialOrder] = None,
 
 def _fused(f, global_run, local_run, local_order, global_order,
            step_budget) -> FusedReport:
-    local_order = local_order if local_order is not None else neg_grevlex()
-    global_order = global_order if global_order is not None else grevlex()
+    local_order = local_order if local_order is not None else _LOCAL_ORDER
+    global_order = global_order if global_order is not None else _GLOBAL_ORDER
     arity = f.ctx.arity
     _require_class(local_order, arity, OrderClass.LOCAL, "fused local part")
     _require_class(global_order, arity, OrderClass.GLOBAL, "fused global part")

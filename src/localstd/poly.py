@@ -281,17 +281,10 @@ class Poly:
     def partial_derivative(self, var_index: int) -> "Poly":
         if not 0 <= var_index < self.ctx.arity:
             raise IndexError("variable index %d out of range" % var_index)
-        f = self.ctx.field
-        t: dict = {}
-        for m, c in self._t.items():
-            e = m[var_index]
-            if e == 0:
-                continue
-            dm = Monomial(x - 1 if i == var_index else x for i, x in enumerate(m))
-            dc = c * f.from_fraction(e)
-            s = t.get(dm)
-            t[dm] = dc if s is None else s + dc
-        return Poly(self.ctx, {m: c for m, c in t.items() if c})
+        step = Monomial.var(var_index, self.ctx.arity)
+        # distinct monomials have distinct derivatives and e*c != 0: no merge
+        return Poly(self.ctx, {m.quo(step): c * m[var_index]
+                               for m, c in self._t.items() if m[var_index]})
 
     # -- substitution ------------------------------------------------------
 

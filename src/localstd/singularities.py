@@ -12,7 +12,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .invariants import milnor_local, tyurina_local
-from .orders import MonomialOrder, neg_grevlex
+from .orders import MonomialOrder
 from .parser import parse_poly
 from .poly import Monomial, Poly, VarCtx
 
@@ -355,7 +355,7 @@ def build_versal_family(f: Poly, order: Optional[MonomialOrder] = None,
     Parameters pair with the quotient monomials in ascending degree order,
     so lam0 multiplies 1 whenever the ideal is not the unit ideal.
     """
-    report = tyurina_local(f, order if order is not None else neg_grevlex())
+    report = tyurina_local(f, order)
     monoms = list(report.quotient_basis)
     monoms.reverse()  # local ascending = descending degree; flip
     taken = set(f.ctx.variables) | set(f.ctx.parameters)

@@ -4,11 +4,15 @@ form, Buchberger and standard bases."""
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from localstd import (OrderClassError, PolySet, StepBudgetExceeded, VarCtx,
                       buchberger, ecart, grevlex, is_zero_dimensional, lex,
                       neg_grevlex, normal_form, parse_poly, s_polynomial,
                       standard_basis, weak_normal_form, weighted)
+from localstd.engines import _Budget, _completion, _reduce_full, _update, _weak_nf
+from localstd.poly import Monomial, Poly
 from oracles import macaulay_dimension_if_stable
 
 
@@ -269,3 +273,92 @@ def test_polyset_validation():
     ps = PolySet([a, a, P("y", XY)], grevlex())
     assert len(ps) == 2
 
+
+
+# ---------------------------------------------------------------------------
+# pair update and the distinct-leading-monomial invariant
+# ---------------------------------------------------------------------------
+
+def _update_by_min_loops(G, P, ih, lm):
+    """The pair update as three loops that empty sets by repeated min()."""
+    mh = lm[ih]
+    C, D = set(G), set()
+    while C:
+        ig = min(C)
+        C.remove(ig)
+        l = mh.lcm(lm[ig])
+        if mh.mul(lm[ig]) == l or (
+                not any(mh.lcm(lm[ip]).divides(l) for ip in C)
+                and not any(mh.lcm(lm[p[1]]).divides(l) for p in D)):
+            D.add((ih, ig))
+    E = set()
+    while D:
+        pair = min(D)
+        D.remove(pair)
+        if mh.mul(lm[pair[1]]) != mh.lcm(lm[pair[1]]):
+            E.add(pair)
+    P_new = set()
+    while P:
+        i, j = min(P)
+        P.remove((i, j))
+        l = lm[i].lcm(lm[j])
+        if not mh.divides(l) or lm[i].lcm(mh) == l or lm[j].lcm(mh) == l:
+            P_new.add((i, j))
+    G_new = {ig for ig in G if not mh.divides(lm[ig])}
+    G_new.add(ih)
+    return G_new, P_new | E
+
+
+@st.composite
+def pair_states(draw):
+    arity = draw(st.integers(1, 3))
+    mono = st.tuples(*[st.integers(0, 3)] * arity).map(Monomial)
+    lm = draw(st.lists(mono, min_size=1, max_size=9))
+    ih = len(lm) - 1
+    G = draw(st.sets(st.integers(0, ih - 1))) if ih else set()
+    pairs = [(i, j) for i in range(ih) for j in range(i)]
+    P = draw(st.sets(st.sampled_from(pairs))) if pairs else set()
+    return G, P, ih, lm
+
+
+@settings(max_examples=300, deadline=None)
+@given(pair_states())
+def test_update_matches_min_emptying_loops(state):
+    G, P, ih, lm = state
+    assert _update(set(G), set(P), ih, lm) == \
+        _update_by_min_loops(set(G), set(P), ih, lm)
+
+
+@st.composite
+def seed_sets(draw):
+    """Seeds over Q in x, y; some share a leading term with the first seed or
+    multiply it by a monomial, so their leading monomials coincide or divide
+    each other under the degree orders used below."""
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3)).map(Monomial)
+    coeff = st.integers(-3, 3).filter(bool)
+    polys = []
+    for _ in range(draw(st.integers(1, 4))):
+        terms = draw(st.dictionaries(exps, coeff, min_size=1, max_size=4))
+        polys.append({m: XY.field.from_fraction(c) for m, c in terms.items()})
+    first = polys[0]
+    for _ in range(draw(st.integers(0, 2))):
+        shift = draw(exps)
+        tail = draw(st.dictionaries(exps, coeff, max_size=2))
+        p = {m.mul(shift): c for m, c in first.items()}
+        for m, c in tail.items():
+            p[m] = p.get(m, 0) + XY.field.from_fraction(c)
+        polys.append({m: c for m, c in p.items() if c})
+    return [Poly(XY, t) for t in polys if t]
+
+
+@settings(max_examples=80, deadline=None)
+@given(seed_sets(), st.sampled_from(["global", "local"]))
+def test_completion_leading_monomials_are_distinct(seed, kind):
+    order, reducer = ((grevlex(), _reduce_full) if kind == "global"
+                      else (neg_grevlex(), _weak_nf))
+    try:
+        basis = _completion(seed, order, reducer, _Budget(3000))
+    except StepBudgetExceeded:
+        assume(False)
+    lms = [p.leading_monomial(order) for p in basis]
+    assert len(set(lms)) == len(lms)

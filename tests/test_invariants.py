@@ -106,6 +106,15 @@ def test_milnor_local_cusp_quotient():
     assert mons(r) == [(2, 0), (1, 0), (0, 1), (0, 0)]  # x^2, x, y, 1
 
 
+def test_default_orders_are_shared_between_calls():
+    a = milnor_local(P("x^3 + y^4"))
+    b = milnor_local(P("x^2 + y^5 + x*y^3"))
+    assert a.order is b.order
+    fused = tyurina_fused(P("x^3 + y^4"))
+    assert fused.local_part.order is a.order
+    assert fused.global_part.order is milnor_global(P("x^3 + y^4")).order
+
+
 def test_milnor_local_smooth_origin():
     r = milnor_local(P("y^2 - x*(x-1)*(x-2)"))
     assert r.dimension == 0 and r.quotient_basis == ()
