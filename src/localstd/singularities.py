@@ -114,6 +114,27 @@ def normal_form(cls: SingularityClass, ambient_dim: int = 2) -> Poly:
 # weighted homogeneity
 # ---------------------------------------------------------------------------
 
+def _row_reduce(rows: list, ncols: int) -> list[int]:
+    """Bring rows, in place, to reduced row echelon form over the field of
+    their entries, pivoting in the first ncols columns only; the pivot
+    columns, in order, one per nonzero leading row."""
+    pivots = []
+    for c in range(ncols):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        pv = rows[r][c]
+        rows[r] = [x / pv for x in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c]:
+                fac = rows[i][c]
+                rows[i] = [a - fac * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+    return pivots
+
+
 def weight_vector(f: Poly) -> Optional[WeightVector]:
     """Positive rational weights with every exponent vector of weight 1, or
     None.  Rank-deficient supports get the smallest-denominator completion."""
@@ -123,25 +144,9 @@ def weight_vector(f: Poly) -> Optional[WeightVector]:
         raise ValueError("weight vectors need parameter-free polynomials")
     n = f.ctx.arity
     rows = [[Fraction(e) for e in m] + [Fraction(1)] for m in f.monomials()]
-    # Gauss-Jordan over Q
-    pivots = []
-    r = 0
-    for c in range(n):
-        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
-        if pr is None:
-            continue
-        rows[r], rows[pr] = rows[pr], rows[r]
-        pv = rows[r][c]
-        rows[r] = [x / pv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                fac = rows[i][c]
-                rows[i] = [a - fac * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-    for i in range(r, len(rows)):
-        if rows[i][n] != 0:
-            return None  # inconsistent system
+    pivots = _row_reduce(rows, n)
+    if any(row[n] for row in rows[len(pivots):]):
+        return None  # inconsistent system
     free = [c for c in range(n) if c not in pivots]
 
     def solution(free_vals):
@@ -183,153 +188,86 @@ def milnor_orlik(w: WeightVector) -> Fraction:
 # Hessian corank and classification
 # ---------------------------------------------------------------------------
 
-def _hessian_matrix(f: Poly):
-    """Second partials at the origin as field elements."""
+def _variable_indices(m: Monomial) -> list[int]:
+    """The variable index of every factor of m, with multiplicity."""
+    return [i for i, e in enumerate(m) for _ in range(e)]
+
+
+def _hessian_kernel(f: Poly) -> list[list]:
+    """A basis of the kernel of the Hessian of f at the origin, over the
+    field of its coefficients (generic kernel when parameters are present).
+    The Hessian is read off the quadratic terms: a term c*x_i*x_j puts c at
+    (i, j) and (j, i), a term c*x_i^2 puts 2c at (i, i)."""
     n = f.ctx.arity
     field = f.ctx.field
     H = [[field.zero] * n for _ in range(n)]
-    for i in range(n):
-        di = f.partial_derivative(i)
-        for j in range(i, n):
-            c = di.partial_derivative(j).constant_coeff()
-            H[i][j] = c
-            H[j][i] = c
-    return H
-
-
-def _quadratic_kernel_change(f: Poly):
-    """Invertible rational change of variables diagonalizing the quadratic
-    part: the matrix T whose columns are the new coordinates, and the
-    indices of the kernel directions (zero diagonal entries)."""
-    n = f.ctx.arity
-    field = f.ctx.field
-    M = _hessian_matrix(f)  # 2*quadratic form matrix
-    # symmetric congruence diagonalization (Lagrange), over the field
-    T = [[field.one if i == j else field.zero for j in range(n)] for i in range(n)]
-    M = [row[:] for row in M]
-
-    def add_col(dst, src, fac):
-        for i in range(n):
-            M[i][dst] = M[i][dst] + fac * M[i][src]
-        for i in range(n):
-            T[i][dst] = T[i][dst] + fac * T[i][src]
-
-    def add_row(dst, src, fac):
-        for j in range(n):
-            M[dst][j] = M[dst][j] + fac * M[src][j]
-
-    def swap(i, j):
-        for r in range(n):
-            M[r][i], M[r][j] = M[r][j], M[r][i]
-        M[i], M[j] = M[j], M[i]
-        for r in range(n):
-            T[r][i], T[r][j] = T[r][j], T[r][i]
-
-    k = 0
-    while k < n:
-        if not M[k][k]:
-            pivot = next((j for j in range(k + 1, n) if M[j][j]), None)
-            if pivot is not None:
-                swap(k, pivot)
-            else:
-                off = next((j for j in range(k + 1, n) if M[k][j]), None)
-                if off is None:
-                    # row k is zero from column k on: nothing to pivot
-                    k += 1
-                    continue
-                add_col(k, off, field.one)
-                add_row(k, off, field.one)
-        if not M[k][k]:
-            k += 1
-            continue
-        for j in range(k + 1, n):
-            if M[k][j]:
-                fac = -M[k][j] / M[k][k]
-                add_col(j, k, fac)
-                add_row(j, k, fac)
-        k += 1
-    return T, [i for i in range(n) if not M[i][i]]
+    for m, c in f.items():
+        if m.degree == 2:
+            i, j = _variable_indices(m)
+            H[i][j] = H[j][i] = c + c if i == j else c
+    pivots = _row_reduce(H, n)
+    kernel = []
+    for free in range(n):
+        if free not in pivots:
+            # x_free = 1, the other free variables 0, each pivot variable
+            # solved from its row
+            v = [field.zero] * n
+            v[free] = field.one
+            for i, p in enumerate(pivots):
+                v[p] = -H[i][free]
+            kernel.append(v)
+    return kernel
 
 
 def hessian_corank(f: Poly) -> int:
     """Arity minus the rank of the Hessian at the origin (generic rank when
-    parameters are present): congruence keeps the rank, so this counts the
-    zero diagonal entries of the diagonalized quadratic form."""
-    return len(_quadratic_kernel_change(f)[1])
-
-
-def _binary_cubic_structure(a, b, c, d, field) -> str:
-    """Factor structure of a*y^3+b*y^2 z+c*y z^2+d*z^3 over C:
-    'three', 'two', 'one' distinct linear factors, or 'zero'."""
-    if not (a or b or c or d):
-        return "zero"
-    disc = (field.from_fraction(18) * a * b * c * d
-            - field.from_fraction(4) * b ** 3 * d
-            + b ** 2 * c ** 2
-            - field.from_fraction(4) * a * c ** 3
-            - field.from_fraction(27) * a ** 2 * d ** 2)
-    if disc:
-        return "three"
-    # Hessian covariant: vanishes identically iff perfect cube
-    h1 = field.from_fraction(3) * a * c - b ** 2          # coeff of y^2
-    h2 = field.from_fraction(9) * a * d - b * c           # coeff of y z
-    h3 = field.from_fraction(3) * b * d - c ** 2          # coeff of z^2
-    if not (h1 or h2 or h3):
-        return "one"
-    return "two"
+    parameters are present)."""
+    return len(_hessian_kernel(f))
 
 
 def classify_simple(f: Poly, mu: Optional[int] = None) -> Optional[SingularityClass]:
     """Arnol'd class of the isolated singular point at the origin, or None
     when the germ is not simple (corank >= 3, or out-of-range invariants).
 
-    Classification is by corank, Milnor number, and the factor structure of
-    the residual binary cubic after splitting off the nondegenerate part of
-    the quadratic form; no normal-form reduction is performed.
+    Arnol'd's determinator needs only the jets: the origin is critical when
+    f has no linear term; the corank is the dimension of the Hessian's
+    kernel; with corank 2 the splitting lemma leaves the cubic part of f on
+    that kernel, which is zero (not simple), a cube (E6, E7, E8 by mu) or
+    otherwise D_mu.  No normal-form reduction is performed.
     """
     if f.has_parameters():
         raise ValueError("classification needs a parameter-free polynomial")
-    for i in range(f.ctx.arity):
-        if f.partial_derivative(i).constant_coeff():
-            raise ValueError("the origin is not a critical point")
+    if any(m.degree == 1 for m in f.monomials()):
+        raise ValueError("the origin is not a critical point")
     if mu is None:
         mu = milnor_local(f).dimension
     if mu < 1:
         return None
-    T, kernel = _quadratic_kernel_change(f)
-    crk = len(kernel)
-    if crk == 0:
+    kernel = _hessian_kernel(f)
+    if not kernel:
         return SingularityClass("A", 1) if mu == 1 else None
-    if crk == 1:
+    if len(kernel) == 1:
         return SingularityClass("A", mu)
-    if crk != 2:
+    if len(kernel) != 2:
         return None
-    ctx = f.ctx
-    images = {}
-    for old in range(ctx.arity):
-        expr = ctx.zero()
-        for new in range(ctx.arity):
-            if T[old][new]:
-                expr = expr + ctx.variable(ctx.variables[new]).scale(T[old][new])
-        images[ctx.variables[old]] = expr
-    g = f.substitute(images)
-    ky, kz = kernel
-    field = ctx.field
-
-    def cubic_coeff(ey, ez):
-        exps = [0] * ctx.arity
-        exps[ky] = ey
-        exps[kz] = ez
-        return g.coeff(Monomial(exps))
-
-    a, b, c, d = (cubic_coeff(3, 0), cubic_coeff(2, 1),
-                  cubic_coeff(1, 2), cubic_coeff(0, 3))
-    structure = _binary_cubic_structure(a, b, c, d, field)
-    if structure in ("three", "two"):
+    # a*Y^3 + b*Y^2*Z + c*Y*Z^2 + d*Z^3: the cubic part of f at Y*u + Z*v
+    u, v = kernel
+    zero = f.ctx.field.zero
+    cubic = [zero] * 4
+    for m, coeff in f.items():
+        if m.degree == 3:
+            form = [coeff]
+            for i in _variable_indices(m):  # times u[i]*Y + v[i]*Z
+                form = [p * u[i] + q * v[i]
+                        for p, q in zip(form + [zero], [zero] + form)]
+            cubic = [s + t for s, t in zip(cubic, form)]
+    if not any(cubic):
+        return None
+    a, b, c, d = cubic
+    # the Hessian covariant of the cubic vanishes exactly for a cube
+    if 3 * a * c - b * b or 9 * a * d - b * c or 3 * b * d - c * c:
         return SingularityClass("D", mu) if mu >= 4 else None
-    if structure == "one" and mu in (6, 7, 8):
-        return SingularityClass("E", mu)
-    return None
+    return SingularityClass("E", mu) if mu in (6, 7, 8) else None
 
 
 # ---------------------------------------------------------------------------

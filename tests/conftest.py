@@ -7,6 +7,17 @@ sys.path.insert(0, str(Path(__file__).parent))
 
 _acceptance_results = []
 
+PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
+
+
+@pytest.fixture(scope="module")
+def checks():
+    """perfbench/checks.py, which shares no code with the engines; read-only."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.syspath_prepend(str(PERFBENCH))
+        import checks
+        yield checks
+
 
 @pytest.fixture
 def acceptance():

@@ -1,7 +1,6 @@
 """The six invariant pipelines and their bookkeeping helpers."""
 
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -294,18 +293,6 @@ def test_fused_local_part_lists_the_tyurina_jump_at_t_minus_one_half():
 # ---------------------------------------------------------------------------
 # highest-corner truncation, checked against the benchmark's own linear algebra
 # ---------------------------------------------------------------------------
-
-PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
-
-
-@pytest.fixture(scope="module")
-def checks():
-    """perfbench/checks.py, which shares no code with the engines."""
-    with pytest.MonkeyPatch.context() as mp:
-        mp.syspath_prepend(str(PERFBENCH))
-        import checks
-        yield checks
-
 
 def _reference_dims(checks, src, variables):
     p = checks.evaluate(src, variables.split(","))

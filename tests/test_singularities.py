@@ -5,13 +5,16 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from localstd import (CoeffField, SingularityClass, VarCtx, WeightVector,
-                      ade_normal_form, adjacency_target, build_versal_family,
-                      classify_simple, hessian_corank, milnor_local,
-                      milnor_orlik, parse_poly, sample_witness,
+from localstd import (CoeffField, Monomial, Poly, SingularityClass, VarCtx,
+                      WeightVector, ade_normal_form, adjacency_target,
+                      build_versal_family, classify_simple, hessian_corank,
+                      milnor_local, milnor_orlik, parse_poly, sample_witness,
                       special_adjacency_family, stratum_catalog,
                       tyurina_local, verify_stratum, weight_vector)
+from localstd.singularities import _hessian_kernel
 
 
 def P(src, variables="x,y", params=""):
@@ -63,6 +66,16 @@ def test_weight_vector_diagonal():
     assert w.weights == (Fraction(1, 3), Fraction(1, 4))
 
 
+def test_weight_vector_rank_deficient_support_searches_free_weights():
+    assert weight_vector(P("x^2*y^2")).weights == (Fraction(1, 4), Fraction(1, 4))
+    assert weight_vector(P("x^2 + y^2*z^2", "x,y,z")).weights == \
+        (Fraction(1, 2), Fraction(1, 4), Fraction(1, 4))
+
+
+def test_weight_vector_absent_for_inconsistent_support():
+    assert weight_vector(P("x^2 + x^3")) is None
+
+
 def test_milnor_orlik_values():
     assert milnor_orlik(WeightVector((Fraction(1, 2), Fraction(1, 8)))) == 7
     assert milnor_orlik(WeightVector((Fraction(1, 3), Fraction(1, 4)))) == 6
@@ -100,6 +113,18 @@ def test_classify_examples():
     assert classify_simple(P("y^3 + z^5", "y,z")) == C("E8")
 
 
+def test_classify_non_simple_germs():
+    assert classify_simple(P("x^4 + y^4")) is None           # zero residual cubic
+    assert classify_simple(P("y^3 + z^7", "y,z")) is None    # a cube, mu = 12
+    assert classify_simple(P("x^3 + y^3 + z^3", "x,y,z")) is None  # corank 3
+
+
+def test_classify_kernels_off_the_axes():
+    assert classify_simple(P("x^2*y + y^4 + x^5")) == C("D5")
+    assert classify_simple(P("(x+y)^3 + (x-y)^5")) == C("E8")
+    assert classify_simple(P("x^2 + 2*x*y + y^2 + y^3")) == C("A2")
+
+
 def test_classify_rejects_noncritical_origin():
     with pytest.raises(ValueError):
         classify_simple(P("x + y^2"))
@@ -112,6 +137,82 @@ def test_classify_round_trip_up_to_index_10():
     for cls in classes:
         f = ade_normal_form(cls, 2)
         assert classify_simple(f) == cls, cls
+
+
+def _from_hessian(ctx, H):
+    """The quadratic form whose Hessian is the rational matrix H."""
+    n = len(H)
+    return Poly(ctx, {Monomial.var(i, n, 1).mul(Monomial.var(j, n, 1)):
+                      ctx.field.from_fraction(H[i][j] / 2 if i == j else H[i][j])
+                      for i in range(n) for j in range(i, n) if H[i][j]})
+
+
+_SMALL = st.sampled_from([Fraction(0)] * 4 + [Fraction(q) for q in
+                                              (1, -1, 2, -3, "1/2", "-2/3")])
+
+
+@st.composite
+def hessians(draw):
+    """A symmetric rational n x n matrix, 1 <= n <= 4: either 2*sum c*L*L^T
+    over k <= n random linear forms L (rank at most k, kernels off the axes)
+    or sparse random entries."""
+    n = draw(st.integers(1, 4))
+    H = [[Fraction(0)] * n for _ in range(n)]
+    if draw(st.booleans()):
+        for _ in range(draw(st.integers(0, n))):
+            L = draw(st.lists(_SMALL, min_size=n, max_size=n))
+            c = draw(_SMALL.filter(bool))
+            for i in range(n):
+                for j in range(n):
+                    H[i][j] += 2 * c * L[i] * L[j]
+    else:
+        for i in range(n):
+            for j in range(i, n):
+                H[i][j] = H[j][i] = draw(_SMALL)
+    return H
+
+
+@settings(max_examples=200, deadline=None)
+@given(hessians())
+def test_hessian_kernel_is_a_kernel_of_the_right_size(checks, H):
+    n = len(H)
+    ctx = VarCtx(["x%d" % i for i in range(n)])
+    f = _from_hessian(ctx, H)
+    kernel = [[ctx.field.as_fraction(c) for c in v] for v in _hessian_kernel(f)]
+    for v in kernel:
+        assert any(v)
+        assert all(sum(h * x for h, x in zip(row, v)) == 0 for row in H)
+    pol = {m: ctx.field.as_fraction(c) for m, c in f.items()}
+    assert len(kernel) == checks.hessian_corank(pol, n)
+
+
+def _det(M):
+    """Determinant by expansion along the first row."""
+    if not M:
+        return 1
+    return sum((-1) ** j * M[0][j] * _det([row[:j] + row[j + 1:] for row in M[1:]])
+               for j in range(len(M)) if M[0][j])
+
+
+_ADE = [C("A%d" % k) for k in range(1, 9)] + \
+    [C("D%d" % k) for k in range(4, 9)] + [C("E6"), C("E7"), C("E8")]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.sampled_from(_ADE), st.integers(2, 4), st.data())
+def test_class_and_corank_survive_linear_coordinate_changes(checks, cls, dim, data):
+    # old variable i becomes sum_j T[i][j] * new variable j, with T invertible
+    f = ade_normal_form(cls, dim)
+    ctx = f.ctx
+    T = [data.draw(st.lists(_SMALL, min_size=dim, max_size=dim))
+         for _ in range(dim)]
+    assume(_det(T) != 0)
+    g = f.substitute({
+        old: sum((ctx.variable(new).scale_fraction(T[i][j])
+                  for j, new in enumerate(ctx.variables) if T[i][j]), ctx.zero())
+        for i, old in enumerate(ctx.variables)})
+    assert hessian_corank(g) == hessian_corank(f) == checks.corank_of_class(cls.name)
+    assert classify_simple(g, mu=cls.index) == cls
 
 
 def test_suspension_invariance_of_mu_tau():
@@ -134,7 +235,6 @@ def test_saito_direction_on_weighted_homogeneous_samples():
         f = parse_poly("y^%d + z^%d" % (a, b), ctx)
         if rng.random() < 0.5:
             # add a random monomial of the same weight if one exists
-            from localstd import Monomial, Poly
             w = weight_vector(f).weights
             extra = [Monomial((i, j)) for i in range(8) for j in range(8)
                      if w[0] * i + w[1] * j == 1 and (i, j) not in ((a, 0), (0, b))]
