@@ -151,7 +151,14 @@ class CoeffField:
 
     def ring_gcd(self, coeffs):
         """gcd of ring elements, integer content included (positive leading
-        coefficient over Z[params]); zero when coeffs is empty."""
+        coefficient over Z[params]); zero when coeffs is empty.
+
+        Over Z[params], when one of coeffs is a single term d*p^e (p^e a
+        power product of the parameters), every common divisor divides that
+        term and so is itself a term: the gcd is then the integer gcd of all
+        the terms' coefficients times the componentwise minimum of their
+        exponents, read off the terms without a polynomial gcd.  Otherwise
+        sympy's gcds are folded over coeffs."""
         if not self.params:
             g = 0
             for c in coeffs:
@@ -159,6 +166,13 @@ class CoeffField:
                 if g == 1:
                     break
             return g
+        if any(len(c) == 1 for c in coeffs):
+            n, e = 0, None
+            for c in coeffs:
+                for m, a in c.items():
+                    n = gcd(n, a)
+                    e = m if e is None else tuple(map(min, e, m))
+            return self.ring({e: n})
         coeffs = iter(coeffs)
         g = self.ring.zero
         for c in coeffs:
@@ -176,7 +190,11 @@ class CoeffField:
         """The ring elements coeffs divided by their gcd, negated when that
         leaves a negative leading coefficient on lead, or None when they stay
         as they are.  The result is primitive, so it is the same for every
-        nonzero multiple of coeffs by a ring element."""
+        nonzero multiple of coeffs by a ring element.
+
+        A gcd that is a term d*p^e (always so when one of coeffs is a term,
+        see ``ring_gcd``) divides each term exactly: its exponents drop by e
+        and its integer coefficient is divided by d with ``//``."""
         g = self.ring_gcd(coeffs)
         if not self.params:
             if lead < 0:
@@ -184,7 +202,13 @@ class CoeffField:
             return None if g == 1 else [c // g for c in coeffs]
         if lead.LC < 0:
             g = -g
-        return None if g == 1 else [_exquo(c, g) for c in coeffs]
+        if g == 1:
+            return None
+        if len(g) > 1:
+            return [c.exquo(g) for c in coeffs]
+        (e, d), = g.items()
+        return [c.new({tuple(i - j for i, j in zip(m, e)): a // d
+                       for m, a in c.items()}) for c in coeffs]
 
     def canonical_assumption(self, c):
         """Canonical representative of the vanishing locus of c: the integer
@@ -261,14 +285,6 @@ class CoeffField:
         for part in parts[1:]:
             out += " - " + part[1:] if part.startswith("-") else " + " + part
         return out
-
-
-def _exquo(c, g):
-    """c / g for Z[params] elements with g dividing c; dividing by a term
-    (the common case: a power product of parameters) is cheap."""
-    if len(g) == 1:
-        return c.quo_term(g.LT)
-    return c.exquo(g)
 
 
 def _frac_str(q: Fraction) -> str:

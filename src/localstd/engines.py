@@ -221,9 +221,9 @@ def _divide(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget):
 
 
 def _reduce_full(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -> Poly:
-    """The remainder of _divide: up to a unit, the one division over the
-    field gives."""
-    return _divide(f, gens, order, budget)[0]
+    """The remainder of _divide, made primitive: up to a unit, the one
+    division over the field gives."""
+    return _primitive(_divide(f, gens, order, budget)[0], order)
 
 
 def weak_normal_form(f: Poly, G: PolySet, step_budget: Optional[int] = None) -> Poly:
@@ -244,7 +244,8 @@ def weak_normal_form(f: Poly, G: PolySet, step_budget: Optional[int] = None) -> 
 
 
 def _weak_nf(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -> Poly:
-    """Weak normal form on ring coefficients."""
+    """Weak normal form on ring coefficients; primitive when f is, as every
+    step is an S-polynomial."""
     h = f
     pool = list(gens)
     pool_lm = [g.leading_monomial(order) for g in pool]
@@ -313,7 +314,9 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
 
     Completion runs on ring coefficients: the seed is cleared of
     denominators and made primitive, and the basis is returned over the
-    field.
+    field.  Both reducers return primitive polynomials (an S-polynomial is
+    primitive, and so is a weak normal form of one), so new elements enter
+    the basis as they come.
 
     Under neg_grevlex over Q (a local order, so the reducer is the weak
     normal form) the run truncates at the highest corner; see the module
@@ -373,7 +376,7 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
             continue
         h = reducer(sp, [f[k] for k in sorted(G)], order, budget)
         if not h.is_zero():
-            add(_primitive(h, order))
+            add(h)
 
     return [_from_ring(f[k]) for k in sorted(G)]
 

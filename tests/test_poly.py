@@ -6,8 +6,8 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from localstd import (ContextMismatchError, Monomial, Poly, VarCtx, grevlex,
-                      parse_poly)
+from localstd import (CoeffField, ContextMismatchError, Monomial, Poly, VarCtx,
+                      grevlex, parse_poly)
 
 
 def P(src, variables="x,y", params=""):
@@ -290,6 +290,78 @@ def test_primitive_is_blind_to_a_unit_of_z_t(data):
     assume(u)
     order = grevlex()
     assert p.scale(u).primitive(order) == p.primitive(order)
+
+
+ZST = CoeffField(("s", "t"))
+
+
+def reference_primitive(lead, coeffs):
+    """ring_primitive through sympy alone: fold the gcd, divide exactly, fix
+    the sign on lead; None when nothing changes."""
+    g = ZST.ring.zero
+    for c in coeffs:
+        g = g.gcd(c)
+    quotients = [c.exquo(g) for c in coeffs]
+    if lead.exquo(g).LC < 0:
+        quotients = [-q for q in quotients]
+    return None if quotients == coeffs else quotients
+
+
+def z_st(src):
+    s, t = ZST.ring.gens
+    return eval(src.replace("^", "**"), {"s": s, "t": t})
+
+
+@pytest.mark.parametrize("lead, coeffs, expected", [
+    # a term among the coefficients: the content 2*t^2 is a term
+    (0, ["6*s*t^2", "4*t^3 + 2*s*t^2"], ["3*s", "2*t + s"]),
+    (0, ["-4*s^2*t", "6*s*t + 2*s^3"], ["2*s*t", "-3*t - s^2"]),
+    # no term among them: the multi-term content s + t
+    (1, ["(s + t)*(s - 1)", "(s + t)*t"], ["s - 1", "t"]),
+    (1, ["s", "t + 1"], None),
+])
+def test_ring_primitive_examples(lead, coeffs, expected):
+    coeffs = [z_st(c) for c in coeffs]
+    got = ZST.ring_primitive(coeffs[lead], coeffs)
+    assert got == (expected if expected is None else [z_st(c) for c in expected])
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_ring_primitive_equals_the_sympy_gcd_fold(data):
+    # Coefficient lists over Z[s, t], with or without a single-term member,
+    # times a planted common factor: a term, a multi-term polynomial, both or
+    # none.  A term content is read off the terms, any other comes from
+    # sympy's gcd; both must give the reference's quotients and sign.
+    ring = ZST.ring
+    nonzero = st.integers(-4, 4).filter(bool)
+    exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
+
+    def term():
+        return ring({data.draw(exps): data.draw(nonzero)})
+
+    def multi_term():
+        return ring(data.draw(st.dictionaries(exps, nonzero, min_size=2, max_size=3)))
+
+    with_term = data.draw(st.booleans())
+    # a multi-term factor would leave no term in the list
+    kind = data.draw(st.sampled_from(["none", "term"] if with_term
+                                     else ["none", "term", "poly", "both"]))
+    factor = ring.one
+    if kind in ("term", "both"):
+        factor *= term()
+    if kind in ("poly", "both"):
+        factor *= multi_term()
+    coeffs = [multi_term() for _ in range(data.draw(st.integers(0 if with_term else 1, 3)))]
+    if with_term:
+        coeffs.insert(data.draw(st.integers(0, len(coeffs))), term())
+    coeffs = [c * factor for c in coeffs]
+    i = data.draw(st.integers(0, len(coeffs) - 1))
+    if data.draw(st.booleans()) != (coeffs[i].LC < 0):
+        coeffs[i] = -coeffs[i]
+    assert any(len(c) == 1 for c in coeffs) == with_term
+
+    assert ZST.ring_primitive(coeffs[i], coeffs) == reference_primitive(coeffs[i], coeffs)
 
 
 @settings(max_examples=25, deadline=None)
