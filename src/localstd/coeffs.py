@@ -14,6 +14,13 @@ included, which leaves them primitive and unique up to the sign it fixes.
 ``common_unit`` derives the field's normalization from it.  This module wraps
 both behind one small API so the rest of the package never touches sympy
 directly.
+
+A content over Z[params] needs no polynomial gcd when one of the elements is
+a term d*p^e (p^e a power product of the parameters).  Z[params] is a unique
+factorization domain, so every divisor of that term is a term, and the gcd is
+the integer gcd of all the terms' coefficients times the componentwise
+minimum of their exponents.  Dividing by it shifts each exponent and divides
+each coefficient exactly.  Lists without a term go through sympy's gcd.
 """
 
 from __future__ import annotations
@@ -153,12 +160,9 @@ class CoeffField:
         """gcd of ring elements, integer content included (positive leading
         coefficient over Z[params]); zero when coeffs is empty.
 
-        Over Z[params], when one of coeffs is a single term d*p^e (p^e a
-        power product of the parameters), every common divisor divides that
-        term and so is itself a term: the gcd is then the integer gcd of all
-        the terms' coefficients times the componentwise minimum of their
-        exponents, read off the terms without a polynomial gcd.  Otherwise
-        sympy's gcds are folded over coeffs."""
+        Over Z[params], when one of coeffs is a term, the gcd is a term
+        read off the terms (see the module docstring: every divisor of a term
+        is a term); otherwise sympy's gcds are folded over coeffs."""
         if not self.params:
             g = 0
             for c in coeffs:
@@ -167,12 +171,9 @@ class CoeffField:
                     break
             return g
         if any(len(c) == 1 for c in coeffs):
-            n, e = 0, None
-            for c in coeffs:
-                for m, a in c.items():
-                    n = gcd(n, a)
-                    e = m if e is None else tuple(map(min, e, m))
-            return self.ring({e: n})
+            terms = [t for c in coeffs for t in c.items()]
+            e = tuple(map(min, zip(*(m for m, _ in terms))))
+            return self.ring({e: gcd(*(a for _, a in terms))})
         coeffs = iter(coeffs)
         g = self.ring.zero
         for c in coeffs:
