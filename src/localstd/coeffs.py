@@ -171,9 +171,12 @@ class CoeffField:
                     break
             return g
         if any(len(c) == 1 for c in coeffs):
-            terms = [t for c in coeffs for t in c.items()]
-            e = tuple(map(min, zip(*(m for m, _ in terms))))
-            return self.ring({e: gcd(*(a for _, a in terms))})
+            n, e = 0, None
+            for c in coeffs:
+                for m, a in c.items():
+                    n = gcd(n, a)
+                    e = m if e is None else tuple(map(min, e, m))
+            return self.ring({e: n})
         coeffs = iter(coeffs)
         g = self.ring.zero
         for c in coeffs:
