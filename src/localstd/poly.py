@@ -268,9 +268,6 @@ class Poly:
             return self.ctx.zero()
         return Poly(self.ctx, {m: v * c for m, v in self._t.items()})
 
-    def scale_fraction(self, q) -> "Poly":
-        return self.scale(self.ctx.field.from_fraction(q))
-
     def mul_term(self, c, mon: Monomial) -> "Poly":
         if not c:
             return self.ctx.zero()

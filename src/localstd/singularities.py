@@ -74,40 +74,31 @@ class WeightVector:
 # normal forms
 # ---------------------------------------------------------------------------
 
-def _ambient_names(m: int) -> tuple[str, ...]:
-    if m == 2:
-        return ("y", "z")
-    if m == 3:
-        return ("x", "y", "z")
-    if m == 4:
-        return ("x", "y", "z", "t")
-    return tuple("x%d" % i for i in range(1, m - 1)) + ("y", "z")
+def _ambient(core: str, ambient_dim: int, params: tuple[str, ...] = ()) -> Poly:
+    """Parse core, a polynomial in y and z, plus a square of every other of
+    ambient_dim variables, over those variables and params.  Two to four
+    variables are named y, z; x, y, z; x, y, z, t; other counts, and counts
+    whose short names clash with a parameter, are named x1, ..., y, z."""
+    if ambient_dim < 2:
+        raise ValueError("need at least two variables")
+    names = {2: ("y", "z"), 3: ("x", "y", "z"), 4: ("x", "y", "z", "t")}.get(ambient_dim)
+    if names is None or set(names) & set(params):
+        names = tuple("x%d" % i for i in range(1, ambient_dim - 1)) + ("y", "z")
+    squares = "".join(" + %s^2" % v for v in names if v not in ("y", "z"))
+    return parse_poly(core + squares, VarCtx(names, params))
 
 
 def normal_form(cls: SingularityClass, ambient_dim: int = 2) -> Poly:
     """The A/D/E polynomial in two distinguished variables plus a sum of
     squares in the remaining ones."""
-    if ambient_dim < 2:
-        raise ValueError("need at least two variables")
-    names = _ambient_names(ambient_dim)
-    ctx = VarCtx(names)
-    y = ctx.variable("y")
-    z = ctx.variable("z")
     n = cls.index
     if cls.family == "A":
-        q = y ** 2 + z ** (n + 1)
+        core = "y^2 + z^%d" % (n + 1)
     elif cls.family == "D":
-        q = y ** 2 * z + z ** (n - 1)
-    elif n == 6:
-        q = y ** 3 + z ** 4
-    elif n == 7:
-        q = y ** 3 + y * z ** 3
+        core = "y^2*z + z^%d" % (n - 1)
     else:
-        q = y ** 3 + z ** 5
-    for name in names:
-        if name not in ("y", "z"):
-            q = q + ctx.variable(name) ** 2
-    return q
+        core = {6: "y^3 + z^4", 7: "y^3 + y*z^3", 8: "y^3 + z^5"}[n]
+    return _ambient(core, ambient_dim)
 
 
 # ---------------------------------------------------------------------------
@@ -821,8 +812,50 @@ def verify_stratum(cls: SingularityClass, stratum: Stratum,
 # special 1-parameter adjacency families
 # ---------------------------------------------------------------------------
 
-ADJACENCY_KINDS = ("a-from-d", "a5-from-e6", "d5-from-e6", "a6-from-e7",
-                   "d6-from-e7", "a7-from-e8", "d7-from-e8")
+def _a_from_d(n: int) -> str:
+    """Source of the A_{n-1} <- D_n family; for even n composed with the
+    rational linear change (y,z) -> (iy,-z), see special_adjacency_family."""
+    tail = range(3, n - 1)
+    if n % 2 == 0:
+        return ("y^2*z - z^%d - t*(y - t^%d*z)^2" % (n - 1, (n - 4) // 2)
+                + "".join(" - t^%d*z^%d" % (n - 1 - k, k) for k in tail))
+    return ("y^2*z + z^%d + t^2*(y + t^%d*z)^2" % (n - 1, n - 4)
+            + "".join(" + (-t^2)^%d*z^%d" % (n - 1 - k, k) for k in tail))
+
+
+# kind -> (target class, source in y, z and t); a-from-d depends on n
+_ADJACENCY = {
+    "a-from-d": None,
+    "a5-from-e6": (SingularityClass("A", 5), "y^3 + z^4 + t^2*y^2 + 2*t*y*z^2"),
+    "d5-from-e6": (SingularityClass("D", 5), "y^3 + z^4 - 3*t^2*y*z^2 - 2*t^3*z^3"),
+    "a6-from-e7": (SingularityClass("A", 6),
+                   "y^3 + y*z^3 + 432*t^3*(y + 4*t*z)^2 - 120*t^2*y*z^2"
+                   " - 416*t^3*z^3 + 7*t*z^4"),
+    "d6-from-e7": (SingularityClass("D", 6),
+                   "y^3 + y*z^3 - 3*t^2*y*z^2 - 2*t^3*z^3 + t*z^4"),
+    "a7-from-e8": (SingularityClass("A", 7),
+                   "y^3 + z^5 + t^5*(y - t^2*z)^2 - 5*t^4*y*z^2 + 4*t^6*z^3"
+                   " - 4*t*y*z^3 + 5*t^3*z^4"),
+    "d7-from-e8": (SingularityClass("D", 7),
+                   "y^3 + z^5 - 27*t^4*y*z^2 + 54*t^6*z^3 - 6*t*y*z^3"
+                   " + 18*t^3*z^4"),
+}
+
+ADJACENCY_KINDS = tuple(_ADJACENCY)
+
+
+def _adjacency(kind: str, n: Optional[int]) -> tuple[SingularityClass, str]:
+    """The target class and source of an adjacency kind; ValueError for an
+    unknown kind and for a-from-d without a D index n >= 4."""
+    kind = kind.strip().lower()
+    if kind not in _ADJACENCY:
+        raise ValueError("unknown adjacency kind %r (choose from %s)"
+                         % (kind, ", ".join(ADJACENCY_KINDS)))
+    if kind != "a-from-d":
+        return _ADJACENCY[kind]
+    if n is None or n < 4:
+        raise ValueError("the A<-D family needs the D index n >= 4")
+    return SingularityClass("A", n - 1), _a_from_d(n)
 
 
 def special_adjacency_family(kind: str, n: Optional[int] = None,
@@ -836,83 +869,8 @@ def special_adjacency_family(kind: str, n: Optional[int] = None,
     preserves Milnor/Tyurina numbers, corank and class (the base polynomial
     then reads y^2*z - z^(n-1)).
     """
-    kind = kind.strip().lower()
-    if kind not in ADJACENCY_KINDS:
-        raise ValueError("unknown adjacency kind %r (choose from %s)"
-                         % (kind, ", ".join(ADJACENCY_KINDS)))
-    names = _ambient_names(ambient_dim)
-    ctx = VarCtx(names, ("t",))
-    y = ctx.variable("y")
-    z = ctx.variable("z")
-    t = ctx.parameter("t")
-
-    if kind == "a-from-d":
-        if n is None or n < 4:
-            raise ValueError("the A<-D family needs the D index n >= 4")
-        if n % 2 == 0:
-            m = (n - 4) // 2
-            f = y ** 2 * z - z ** (n - 1)
-            f = f - t * (y - t ** m * z) ** 2
-            for k in range(3, 2 * m + 3):
-                f = f + ((-t) ** (2 * m + 3 - k) * z ** k).scale_fraction(
-                    Fraction((-1) ** k))
-        else:
-            m = (n - 5) // 2
-            f = y ** 2 * z + z ** (n - 1)
-            f = f + t ** 2 * (y + t ** (2 * m + 1) * z) ** 2
-            for k in range(3, 2 * m + 4):
-                f = f + (-(t ** 2)) ** (2 * m + 4 - k) * z ** k
-    elif kind == "a5-from-e6":
-        f = y ** 3 + z ** 4 + t ** 2 * y ** 2 + (t * y * z ** 2).scale_fraction(2)
-    elif kind == "d5-from-e6":
-        f = (y ** 3 + z ** 4
-             - (t ** 2 * y * z ** 2).scale_fraction(3)
-             - (t ** 3 * z ** 3).scale_fraction(2))
-    elif kind == "a6-from-e7":
-        f = (y ** 3 + y * z ** 3
-             + (t ** 3 * (y + z.scale_fraction(4) * t) ** 2).scale_fraction(432)
-             - (t ** 2 * y * z ** 2).scale_fraction(120)
-             - (t ** 3 * z ** 3).scale_fraction(416)
-             + (t * z ** 4).scale_fraction(7))
-    elif kind == "d6-from-e7":
-        f = (y ** 3 + y * z ** 3
-             - (t ** 2 * y * z ** 2).scale_fraction(3)
-             - (t ** 3 * z ** 3).scale_fraction(2)
-             + t * z ** 4)
-    elif kind == "a7-from-e8":
-        f = (y ** 3 + z ** 5
-             + t ** 5 * (y - t ** 2 * z) ** 2
-             - (t ** 4 * y * z ** 2).scale_fraction(5)
-             + (t ** 6 * z ** 3).scale_fraction(4)
-             - (t * y * z ** 3).scale_fraction(4)
-             + (t ** 3 * z ** 4).scale_fraction(5))
-    else:  # d7-from-e8
-        f = (y ** 3 + z ** 5
-             - (t ** 4 * y * z ** 2).scale_fraction(27)
-             + (t ** 6 * z ** 3).scale_fraction(54)
-             - (t * y * z ** 3).scale_fraction(6)
-             + (t ** 3 * z ** 4).scale_fraction(18))
-
-    for name in names:
-        if name not in ("y", "z"):
-            f = f + ctx.variable(name) ** 2
-    return f
-
-
-ADJACENCY_TARGETS = {
-    "a5-from-e6": SingularityClass("A", 5),
-    "d5-from-e6": SingularityClass("D", 5),
-    "a6-from-e7": SingularityClass("A", 6),
-    "d6-from-e7": SingularityClass("D", 6),
-    "a7-from-e8": SingularityClass("A", 7),
-    "d7-from-e8": SingularityClass("D", 7),
-}
+    return _ambient(_adjacency(kind, n)[1], ambient_dim, ("t",))
 
 
 def adjacency_target(kind: str, n: Optional[int] = None) -> SingularityClass:
-    kind = kind.strip().lower()
-    if kind == "a-from-d":
-        if n is None:
-            raise ValueError("the A<-D family needs n")
-        return SingularityClass("A", n - 1)
-    return ADJACENCY_TARGETS[kind]
+    return _adjacency(kind, n)[0]

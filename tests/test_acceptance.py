@@ -156,7 +156,7 @@ def _random_poly(ctx, rng, degree):
     arity = ctx.arity
     for name in ctx.variables:
         c = rng.choice((1, 2, 3, -1, -2, -3))
-        p = p + ctx.variable(name).__pow__(rng.randint(2, degree)).scale_fraction(c)
+        p = p + ctx.variable(name).__pow__(rng.randint(2, degree)).scale(ctx.field.from_fraction(c))
     for _ in range(rng.randint(1, 4)):
         while True:
             exps = tuple(rng.randint(0, degree) for _ in range(arity))

@@ -387,5 +387,5 @@ def test_generalized_euler_identity(data):
     euler = ctx.zero()
     for i, w in enumerate(weights):
         euler = euler + (ctx.variable(ctx.variables[i])
-                         * f.partial_derivative(i)).scale_fraction(w)
+                         * f.partial_derivative(i)).scale(ctx.field.from_fraction(w))
     assert euler == f

@@ -208,7 +208,7 @@ def test_class_and_corank_survive_linear_coordinate_changes(checks, cls, dim, da
          for _ in range(dim)]
     assume(_det(T) != 0)
     g = f.substitute({
-        old: sum((ctx.variable(new).scale_fraction(T[i][j])
+        old: sum((ctx.variable(new).scale(ctx.field.from_fraction(T[i][j]))
                   for j, new in enumerate(ctx.variables) if T[i][j]), ctx.zero())
         for i, old in enumerate(ctx.variables)})
     assert hessian_corank(g) == hessian_corank(f) == checks.corank_of_class(cls.name)
@@ -370,11 +370,48 @@ def test_d6_a5_stratum_uses_rational_avatar():
 # adjacency families
 # ---------------------------------------------------------------------------
 
-def test_adjacency_family_sources():
-    f = special_adjacency_family("a5-from-e6")
-    assert f == P("y^3 + z^4 + t^2*y^2 + 2*t*y*z^2", "y,z", "t")
-    g = special_adjacency_family("d5-from-e6")
-    assert g == P("y^3 + z^4 - 3*t^2*y*z^2 - 2*t^3*z^3", "y,z", "t")
+# every fixed kind and a-from-d past the benchmark's n <= 6, where the
+# alternating signs of the odd tail show
+_ADJACENCY_SOURCES = [
+    ("a5-from-e6", None, "z^4 + y^3 + 2*t*y*z^2 + t^2*y^2"),
+    ("d5-from-e6", None, "z^4 + y^3 - 3*t^2*y*z^2 - 2*t^3*z^3"),
+    ("a6-from-e7", None,
+     "y*z^3 + 7*t*z^4 + y^3 - 120*t^2*y*z^2 - 416*t^3*z^3 + 432*t^3*y^2"
+     " + 3456*t^4*y*z + 6912*t^5*z^2"),
+    ("d6-from-e7", None, "y*z^3 + t*z^4 + y^3 - 3*t^2*y*z^2 - 2*t^3*z^3"),
+    ("a7-from-e8", None,
+     "z^5 - 4*t*y*z^3 + 5*t^3*z^4 + y^3 - 5*t^4*y*z^2 + 4*t^6*z^3 + t^5*y^2"
+     " - 2*t^7*y*z + t^9*z^2"),
+    ("d7-from-e8", None,
+     "z^5 - 6*t*y*z^3 + 18*t^3*z^4 + y^3 - 27*t^4*y*z^2 + 54*t^6*z^3"),
+    ("a-from-d", 4, "y^2*z - z^3 - t*y^2 + 2*t*y*z - t*z^2"),
+    ("a-from-d", 5, "z^4 + y^2*z - t^2*z^3 + t^2*y^2 + 2*t^3*y*z + t^4*z^2"),
+    ("a-from-d", 6,
+     "-z^5 - t*z^4 + y^2*z - t^2*z^3 - t*y^2 + 2*t^2*y*z - t^3*z^2"),
+    ("a-from-d", 7,
+     "z^6 - t^2*z^5 + t^4*z^4 + y^2*z - t^6*z^3 + t^2*y^2 + 2*t^5*y*z + t^8*z^2"),
+    ("a-from-d", 8,
+     "-z^7 - t*z^6 - t^2*z^5 - t^3*z^4 + y^2*z - t^4*z^3 - t*y^2 + 2*t^3*y*z"
+     " - t^5*z^2"),
+    ("a-from-d", 9,
+     "z^8 - t^2*z^7 + t^4*z^6 - t^6*z^5 + t^8*z^4 + y^2*z - t^10*z^3 + t^2*y^2"
+     " + 2*t^7*y*z + t^12*z^2"),
+    ("a-from-d", 10,
+     "-z^9 - t*z^8 - t^2*z^7 - t^3*z^6 - t^4*z^5 - t^5*z^4 + y^2*z - t^6*z^3"
+     " - t*y^2 + 2*t^4*y*z - t^7*z^2"),
+    ("a-from-d", 11,
+     "z^10 - t^2*z^9 + t^4*z^8 - t^6*z^7 + t^8*z^6 - t^10*z^5 + t^12*z^4"
+     " + y^2*z - t^14*z^3 + t^2*y^2 + 2*t^9*y*z + t^16*z^2"),
+]
+
+
+@pytest.mark.parametrize("kind, n, src", _ADJACENCY_SOURCES,
+                         ids=[k if n is None else "%s-%d" % (k, n)
+                              for k, n, _ in _ADJACENCY_SOURCES])
+def test_adjacency_family_sources(kind, n, src):
+    fam = special_adjacency_family(kind, n=n)
+    assert fam.ctx == VarCtx(("y", "z"), ("t",))
+    assert fam.to_str() == src
 
 
 def test_adjacency_t_zero_recovers_base_form():
@@ -402,13 +439,20 @@ def test_adjacency_classification_samples():
 
 
 def test_adjacency_in_three_variables():
-    fam = special_adjacency_family("a5-from-e6", ambient_dim=3)
-    f = fam.specialize_params({"t": Fraction(2)})
-    assert classify_simple(f) == C("A5")
+    # and in four, where x, y, z, t would clash with the parameter t
+    for dim, names in [(3, ("x", "y", "z")), (4, ("x1", "x2", "y", "z"))]:
+        fam = special_adjacency_family("a5-from-e6", ambient_dim=dim)
+        assert fam.ctx.variables == names
+        f = fam.specialize_params({"t": Fraction(2)})
+        assert classify_simple(f) == C("A5")
 
 
 def test_adjacency_unknown_kind():
+    # both functions reject the same inputs
+    for kind, n in [("a9-from-e9", None), ("a-from-d", None), ("a-from-d", 3)]:
+        with pytest.raises(ValueError):
+            special_adjacency_family(kind, n=n)
+        with pytest.raises(ValueError):
+            adjacency_target(kind, n=n)
     with pytest.raises(ValueError):
-        special_adjacency_family("a9-from-e9")
-    with pytest.raises(ValueError):
-        special_adjacency_family("a-from-d")  # n missing
+        special_adjacency_family("a5-from-e6", ambient_dim=1)
