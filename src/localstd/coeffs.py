@@ -1,19 +1,20 @@
 """Exact coefficient arithmetic: rationals, or rational functions in parameters.
 
 Coefficients live in Q when the context declares no parameters and in the
-fraction field Q(l1, ..., lr) otherwise.  Both come from sympy's sparse
-polynomial domains; without gmpy2 installed sympy runs them on pure-Python
-rationals, which run a gcd on every operation.
+fraction field Q(l1, ..., lr) otherwise.  Q elements are ``fractions.Fraction``
+over plain Python ints, so a parameter-free run never imports sympy.
+Q(l1, ..., lr) is sympy's sparse fraction field; sympy is imported when the
+first field with parameters is built, and its QQ and ZZ are reached through
+that field's domain.
 
-The completion engines therefore compute in the ring beneath the field:
-plain Python ints for Q, and Z[l1, ..., lr] (sympy ring elements, lex order,
-the field's generator order) for Q(l1, ..., lr).  ``to_ring`` clears
-denominators, ``from_ring`` maps back, and ``ring_primitive`` is the one
-content normalization: it divides ring elements by their gcd, integer content
+The completion engines compute in the ring beneath the field: plain Python
+ints for Q, and Z[l1, ..., lr] (sympy ring elements, lex order, the field's
+generator order) for Q(l1, ..., lr).  ``to_ring`` clears denominators,
+``from_ring`` maps back, and ``ring_primitive`` is the one content
+normalization: it divides ring elements by their gcd, integer content
 included, which leaves them primitive and unique up to the sign it fixes.
 ``common_unit`` derives the field's normalization from it.  This module wraps
-both behind one small API so the rest of the package never touches sympy
-directly.
+both fields behind one small API; no other module names sympy.
 
 A content over Z[params] needs no polynomial gcd when one of the elements is
 a term d*p^e (p^e a power product of the parameters).  Z[params] is a unique
@@ -28,29 +29,29 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-from sympy.polys.domains import QQ, ZZ
-
 
 class CoeffField:
     """The coefficient field attached to a variable context.
 
-    For an empty parameter list this is Q itself; otherwise the field of
-    rational functions in the parameters.  Elements are always stored in
-    reduced form with a positively-normalized denominator (sympy invariant),
-    which is exactly the ParamCoeff contract.
+    For an empty parameter list this is Q, with ``Fraction`` elements and
+    plain-int ring elements.  Otherwise it is the field of rational functions
+    in the parameters, held as sympy's fraction field in ``domain``.  Either
+    way elements are reduced with a positive denominator, which is exactly the
+    ParamCoeff contract.
     """
 
     def __init__(self, params: tuple[str, ...]):
         self.params = tuple(params)
-        if self.params:
-            self.domain = QQ.frac_field(*self.params)
-            self._gens = dict(zip(self.params, self.domain.gens))
-        else:
-            self.domain = QQ
+        self._ring = None
+        if not self.params:
             self._gens = {}
+            self.zero, self.one = Fraction(0), Fraction(1)
+            return
+        from sympy.polys.domains import QQ
+        self.domain = QQ.frac_field(*self.params)
+        self._gens = dict(zip(self.params, self.domain.gens))
         self.zero = self.domain.zero
         self.one = self.domain.one
-        self._ring = None
 
     def __eq__(self, other):
         return isinstance(other, CoeffField) and self.params == other.params
@@ -67,8 +68,10 @@ class CoeffField:
 
     def from_fraction(self, q) -> object:
         """Coerce an int / Fraction / QQ element into the field."""
-        c = QQ(int(q.numerator), int(q.denominator))
-        return self.domain.field.ground_new(c) if self.params else c
+        num, den = int(q.numerator), int(q.denominator)
+        if not self.params:
+            return Fraction(num, den)
+        return self.domain.field.ground_new(self.domain.dom(num, den))
 
     def param(self, name: str):
         if name not in self._gens:
@@ -89,12 +92,10 @@ class CoeffField:
     def as_fraction(self, c) -> Fraction:
         """Convert a constant element to a Fraction; raises if parametric."""
         if not self.params:
-            return Fraction(int(c.numerator), int(c.denominator))
+            return c
         if not self.is_constant(c):
             raise ValueError("coefficient %s is not constant" % self.to_str(c))
-        num = c.numer.LC if c.numer else QQ(0)
-        den = c.denom.LC
-        q = num / den
+        q = c.numer.LC / c.denom.LC
         return Fraction(int(q.numerator), int(q.denominator))
 
     # -- content normalization ------------------------------------------
@@ -127,14 +128,14 @@ class CoeffField:
         """Z[params] as a sympy ring, built on first use; None over Q, whose
         ring elements are plain ints."""
         if self._ring is None and self.params:
-            self._ring = self.domain.field.ring.clone(domain=ZZ)
+            self._ring = self.domain.field.ring.clone(domain=self.domain.dom.get_ring())
         return self._ring
 
     def ring_denominator(self, coeffs):
         """A common denominator of the field elements coeffs, as a ring
         element: the lcm of their denominators."""
         if not self.params:
-            return lcm(*(int(c.denominator) for c in coeffs))
+            return lcm(*(c.denominator for c in coeffs))
         den = self.ring.one
         for c in coeffs:
             if c.denom != 1:
@@ -145,14 +146,14 @@ class CoeffField:
         """The ring element c * den; den must be a common denominator from
         ``ring_denominator``."""
         if not self.params:
-            return int(c.numerator) * (den // int(c.denominator))
+            return c.numerator * (den // c.denominator)
         num = c.numer.set_ring(self.ring)
         return num if den == 1 else num * (den // c.denom.set_ring(self.ring))
 
     def from_ring(self, c):
         """The field element equal to the ring element c."""
         if not self.params:
-            return QQ(c)
+            return Fraction(c)
         field = self.domain.field
         return field.raw_new(c.set_ring(field.ring))
 
@@ -224,10 +225,10 @@ class CoeffField:
         for q in num.coeffs():
             cnum = gcd(cnum, int(q.numerator))
             cden = lcm(cden, int(q.denominator))
-        u = QQ(cnum, cden)
+        u = self.domain.dom(cden, cnum)
         if num.LC < 0:
             u = -u
-        return self.domain.field.field_new(num * (QQ(1) / u))
+        return self.domain.field.field_new(num * u)
 
     # -- substitution ----------------------------------------------------
 
@@ -245,10 +246,14 @@ class CoeffField:
         num, den = c.numer.evaluate(point), c.denom.evaluate(point)
         if not den:
             raise ZeroDivisionError("denominator vanishes under the assignment")
+        if not target.params:
+            return target.from_fraction(num / den)
         return target.domain.convert(num) / target.domain.convert(den)
 
     def convert_to(self, c, target: "CoeffField"):
         """Embed into a field with a superset of parameters."""
+        if not self.params:
+            return target.from_fraction(c)
         return target.domain.convert_from(c, self.domain)
 
     # -- printing ----------------------------------------------------------
@@ -259,7 +264,7 @@ class CoeffField:
         built from the parser and for engine outputs).
         """
         if not self.params:
-            return _frac_str(Fraction(int(c.numerator), int(c.denominator)))
+            return _frac_str(c)
         if not c.denom.is_ground:
             return "(%s)/(%s)" % (self._poly_str(c.numer, Fraction(1)),
                                   self._poly_str(c.denom, Fraction(1)))

@@ -846,12 +846,15 @@ ADJACENCY_KINDS = tuple(_ADJACENCY)
 
 def _adjacency(kind: str, n: Optional[int]) -> tuple[SingularityClass, str]:
     """The target class and source of an adjacency kind; ValueError for an
-    unknown kind and for a-from-d without a D index n >= 4."""
+    unknown kind, for a-from-d without a D index n >= 4, and for an n given
+    to any other kind."""
     kind = kind.strip().lower()
     if kind not in _ADJACENCY:
         raise ValueError("unknown adjacency kind %r (choose from %s)"
                          % (kind, ", ".join(ADJACENCY_KINDS)))
     if kind != "a-from-d":
+        if n is not None:
+            raise ValueError("the %s family takes no index n" % kind)
         return _ADJACENCY[kind]
     if n is None or n < 4:
         raise ValueError("the A<-D family needs the D index n >= 4")

@@ -449,7 +449,8 @@ def test_adjacency_in_three_variables():
 
 def test_adjacency_unknown_kind():
     # both functions reject the same inputs
-    for kind, n in [("a9-from-e9", None), ("a-from-d", None), ("a-from-d", 3)]:
+    for kind, n in [("a9-from-e9", None), ("a-from-d", None), ("a-from-d", 3),
+                    ("a5-from-e6", 9)]:
         with pytest.raises(ValueError):
             special_adjacency_family(kind, n=n)
         with pytest.raises(ValueError):
