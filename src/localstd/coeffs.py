@@ -2,56 +2,380 @@
 
 Coefficients live in Q when the context declares no parameters and in the
 fraction field Q(l1, ..., lr) otherwise.  Q elements are ``fractions.Fraction``
-over plain Python ints, so a parameter-free run never imports sympy.
-Q(l1, ..., lr) is sympy's sparse fraction field; sympy is imported when the
-first field with parameters is built, and its QQ and ZZ are reached through
-that field's domain.
+over plain Python ints.  Q(l1, ..., lr) elements are ``_Frac``: a numerator
+and a denominator in Z[l1, ..., lr], coprime with the integer content
+included, the denominator with a positive leading coefficient under lex in
+the field's generator order.  Z[l1, ..., lr] elements are ``_ZPoly``: a dict
+from exponent tuples (in the generator order) to nonzero ints.  Both are
+never changed after construction, and the canonical form makes equality and
+hashing exact.  Everything here is plain Python; the package has no runtime
+dependency.
 
 The completion engines compute in the ring beneath the field: plain Python
-ints for Q, and Z[l1, ..., lr] (sympy ring elements, lex order, the field's
-generator order) for Q(l1, ..., lr).  ``to_ring`` clears denominators,
-``from_ring`` maps back, and ``ring_primitive`` is the one content
-normalization: it divides ring elements by their gcd, integer content
-included, which leaves them primitive and unique up to the sign it fixes.
-``common_unit`` derives the field's normalization from it.  This module wraps
-both fields behind one small API; no other module names sympy.
+ints for Q, and ``_ZPoly`` for Q(l1, ..., lr).  ``to_ring`` clears
+denominators, ``from_ring`` maps back, and ``ring_primitive`` is the one
+content normalization: it divides ring elements by their gcd, integer
+content included, which leaves them primitive and unique up to the sign it
+fixes.  ``common_unit`` derives the field's normalization from it.
 
-A content over Z[params] needs no polynomial gcd when one of the elements is
-a term d*p^e (p^e a power product of the parameters).  Z[params] is a unique
+A gcd over Z[params] needs no polynomial gcd when one of the elements is a
+term d*p^e (p^e a power product of the parameters).  Z[params] is a unique
 factorization domain, so every divisor of that term is a term, and the gcd is
 the integer gcd of all the terms' coefficients times the componentwise
 minimum of their exponents.  Dividing by it shifts each exponent and divides
-each coefficient exactly.  Lists without a term go through sympy's gcd.
+each coefficient exactly.  Lists without a term fold the heuristic gcd of
+Char, Geddes and Gonnet (J. Symb. Comp. 7, 1989), with the evaluation
+points of Liao and Fateman (ISSAC 1995): the inputs are evaluated at a large
+integer in their first generator, the gcd of the images is interpolated back
+in balanced base-x digits, and it is kept when its primitive part divides
+both inputs exactly.
+
+When both denominators of a field operation are integers, the result's only
+possible common factor is an integer, so it is cancelled with the integer
+gcd of the numerator's coefficients; no polynomial gcd runs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
+from operator import add, sub
+
+_HEU_GCD_MAX = 6
+
+
+class HeuristicGCDFailed(ArithmeticError):
+    """No evaluation point of the heuristic gcd gave a gcd that divides
+    both inputs."""
+
+
+class _ZPoly(dict):
+    """An element of Z[params]: exponent tuple -> nonzero int.
+
+    Arithmetic returns new elements and never changes an existing one, so
+    elements hash by their terms.  ``==`` also compares with ints."""
+
+    __slots__ = ()
+
+    def __hash__(self):
+        return hash(frozenset(self.items()))
+
+    def __eq__(self, other):
+        if isinstance(other, int):
+            if not other:
+                return not self
+            if len(self) != 1:
+                return False
+            (m, a), = self.items()
+            return a == other and not any(m)
+        if isinstance(other, dict):
+            return dict.__eq__(self, other)
+        return NotImplemented
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __neg__(self):
+        return _ZPoly({m: -a for m, a in self.items()})
+
+    def __add__(self, other):
+        if len(self) < len(other):
+            self, other = other, self
+        p = _ZPoly(self)
+        for m, a in other.items():
+            a += p.get(m, 0)
+            if a:
+                p[m] = a
+            else:
+                del p[m]
+        return p
+
+    def __sub__(self, other):
+        p = _ZPoly(self)
+        for m, a in other.items():
+            a = p.get(m, 0) - a
+            if a:
+                p[m] = a
+            else:
+                del p[m]
+        return p
+
+    def __mul__(self, other):
+        if isinstance(other, int):
+            return _ZPoly({m: a * other for m, a in self.items()} if other else ())
+        if len(self) > len(other):
+            self, other = other, self
+        if len(self) == 1:
+            (m1, a1), = self.items()
+            return _ZPoly({tuple(map(add, m1, m2)): a1 * a2 for m2, a2 in other.items()})
+        p = {}
+        get = p.get
+        for m1, a1 in self.items():
+            for m2, a2 in other.items():
+                m = tuple(map(add, m1, m2))
+                p[m] = get(m, 0) + a1 * a2
+        return _ZPoly({m: a for m, a in p.items() if a})
+
+    __rmul__ = __mul__
+
+    def __floordiv__(self, other):
+        """Exact quotient; other (an int or a ring element) must divide self.
+        A term d*p^e divides term by term: exponents drop by e, coefficients
+        are divided by d with ``//``."""
+        if isinstance(other, int):
+            return _ZPoly({m: a // other for m, a in self.items()})
+        if len(other) == 1:
+            (e, d), = other.items()
+            return _ZPoly({tuple(map(sub, m, e)): a // d for m, a in self.items()})
+        q = _quotient(self, other)
+        if q is None:
+            raise ArithmeticError("inexact division in Z[params]")
+        return q
+
+    @property
+    def LC(self) -> int:
+        """Leading coefficient under lex in the generator order; 0 for 0."""
+        return self[max(self)] if self else 0
+
+    @property
+    def is_ground(self) -> bool:
+        return not self or (len(self) == 1 and not any(next(iter(self))))
+
+    def content(self) -> int:
+        """The gcd of the coefficients, nonnegative."""
+        return gcd(*self.values())
+
+    def coeffs(self) -> list:
+        return list(self.values())
+
+    def evaluate(self, point: dict) -> "_ZPoly":
+        """Substitute values for some generators.  point maps generator
+        index -> value (int or Fraction); the result is keyed by the
+        exponents of the other generators, in order, and has the values'
+        type of coefficients."""
+        powers = {}
+        out = {}
+        for m, a in self.items():
+            for i, v in point.items():
+                e = m[i]
+                if e:
+                    pw = powers.get((i, e))
+                    if pw is None:
+                        pw = powers[i, e] = v ** e
+                    a = a * pw
+            k = tuple(e for i, e in enumerate(m) if i not in point)
+            out[k] = out.get(k, 0) + a
+        return _ZPoly({k: a for k, a in out.items() if a})
+
+
+def _quotient(f: _ZPoly, g: _ZPoly):
+    """f / g when g divides f exactly over Z[params], else None: division by
+    the lex leading term of g, stopped at the first term it does not divide."""
+    lm, lc = max(g.items())
+    rest = [(m, a) for m, a in g.items() if m != lm]
+    r = dict(f)
+    q = {}
+    while r:
+        m = max(r)
+        e = tuple(map(sub, m, lm))
+        if min(e) < 0:
+            return None
+        c, rem = divmod(r.pop(m), lc)
+        if rem:
+            return None
+        q[e] = c
+        for m2, a2 in rest:
+            k = tuple(map(add, e, m2))
+            a = r.get(k, 0) - c * a2
+            if a:
+                r[k] = a
+            else:
+                del r[k]
+    return _ZPoly(q)
+
+
+def _term_gcd(coeffs) -> _ZPoly:
+    """gcd of nonzero ring elements one of which is a term: the term with the
+    integer gcd of all coefficients and the componentwise minimum of all
+    exponents."""
+    n, e = 0, next(iter(coeffs[0]))
+    for c in coeffs:
+        n = gcd(n, *c.values())
+        e = tuple(map(min, e, *c))
+    return _ZPoly({e: n})
+
+
+def _heugcd(f: _ZPoly, g: _ZPoly) -> _ZPoly:
+    """gcd of nonzero f and g over Z[x0, x1, ...], integer content included,
+    with a positive leading coefficient; raises HeuristicGCDFailed.
+
+    The images at x0 = x (their gcd is an integer, or the heuristic gcd of
+    the images one generator down) are interpolated in balanced base-x
+    digits; the primitive part is the gcd when it divides f and g, which
+    exact division checks.  Six growing points are tried."""
+    univariate = len(next(iter(f))) == 1
+    c = gcd(f.content(), g.content())
+    if c != 1:
+        f, g = f // c, g // c
+    f_norm, g_norm = max(map(abs, f.values())), max(map(abs, g.values()))
+    b = 2 * min(f_norm, g_norm) + 29
+    x = max(min(b, 99 * isqrt(b)), 2 * min(f_norm // abs(f.LC), g_norm // abs(g.LC)) + 4)
+    for _ in range(_HEU_GCD_MAX):
+        ff, gg = f.evaluate({0: x}), g.evaluate({0: x})
+        if ff and gg:
+            h = gcd(ff[()], gg[()]) if univariate else _heugcd(ff, gg)
+            h = _interpolate(h, x)
+            h = h // h.content()
+            if _quotient(f, h) is not None and _quotient(g, h) is not None:
+                return h * c
+        x = 73794 * x * isqrt(isqrt(x)) // 27011
+    raise HeuristicGCDFailed("no gcd found at %d evaluation points" % _HEU_GCD_MAX)
+
+
+def _interpolate(h, x: int) -> _ZPoly:
+    """The polynomial in a new first generator whose coefficients are the
+    balanced base-x digits of h (an int, or each coefficient of a ring
+    element), negated if its leading coefficient is negative."""
+    f = _ZPoly()
+    half = x // 2
+    for m, a in h.items() if isinstance(h, dict) else (((), h),):
+        i = 0
+        while a:
+            d = a % x
+            if d > half:
+                d -= x
+            a = (a - d) // x
+            if d:
+                f[(i,) + m] = d
+            i += 1
+    return -f if f.LC < 0 else f
+
+
+class _Frac:
+    """An element numer/denom of Q(params), in the canonical form of the
+    module docstring."""
+
+    __slots__ = ("numer", "denom", "field")
+
+    def __init__(self, numer: _ZPoly, denom: _ZPoly, field: "CoeffField"):
+        self.numer, self.denom, self.field = numer, denom, field
+
+    def _coerce(self, other):
+        if isinstance(other, _Frac):
+            return other
+        if isinstance(other, (int, Fraction)):
+            return self.field.from_fraction(other)
+        return NotImplemented
+
+    def __eq__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        return self.numer == other.numer and self.denom == other.denom
+
+    def __ne__(self, other):
+        eq = self.__eq__(other)
+        return eq if eq is NotImplemented else not eq
+
+    def __hash__(self):
+        return hash((self.numer, self.denom))
+
+    def __bool__(self):
+        return bool(self.numer)
+
+    def __repr__(self):
+        return self.field.to_str(self)
+
+    def __neg__(self):
+        return _Frac(-self.numer, self.denom, self.field)
+
+    def __add__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        field = self.field
+        a, b, c, d = self.numer, self.denom, other.numer, other.denom
+        if b == d:
+            return _Frac(a + c, b, field) if b == 1 else field._frac(a + c, b)
+        if b.is_ground and d.is_ground:
+            b, d = b.LC, d.LC
+            den = lcm(b, d)
+            return field._frac(a * (den // b) + c * (den // d), _ZPoly({field._unit: den}))
+        return field._frac(a * d + c * b, b * d)
+
+    __radd__ = __add__
+
+    def __sub__(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else self + -other
+
+    def __rsub__(self, other):
+        return -self + other
+
+    def __mul__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        field = self.field
+        b, d = self.denom, other.denom
+        if b == 1 and d == 1:
+            return _Frac(self.numer * other.numer, b, field)
+        return field._frac(self.numer * other.numer, b * d)
+
+    __rmul__ = __mul__
+
+    def __truediv__(self, other):
+        other = self._coerce(other)
+        if other is NotImplemented:
+            return other
+        if not other:
+            raise ZeroDivisionError("division by zero in %r" % self.field)
+        num, den = other.denom, other.numer
+        if den.LC < 0:
+            num, den = -num, -den
+        return self * _Frac(num, den, self.field)
+
+    def __rtruediv__(self, other):
+        return self.field.one / self * other
+
+    def __pow__(self, k: int):
+        if k < 0:
+            raise ValueError("negative power")
+        out, base = self.field.one, self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
+        return out
 
 
 class CoeffField:
     """The coefficient field attached to a variable context.
 
     For an empty parameter list this is Q, with ``Fraction`` elements and
-    plain-int ring elements.  Otherwise it is the field of rational functions
-    in the parameters, held as sympy's fraction field in ``domain``.  Either
-    way elements are reduced with a positive denominator, which is exactly the
-    ParamCoeff contract.
+    plain-int ring elements.  Otherwise it is Q(params), with ``_Frac``
+    elements over ``_ZPoly`` ring elements in the generator order of params.
+    Either way elements are reduced with a positive denominator, which is
+    exactly the ParamCoeff contract.
     """
 
     def __init__(self, params: tuple[str, ...]):
         self.params = tuple(params)
-        self._ring = None
         if not self.params:
             self._gens = {}
             self.zero, self.one = Fraction(0), Fraction(1)
             return
-        from sympy.polys.domains import QQ
-        self.domain = QQ.frac_field(*self.params)
-        self._gens = dict(zip(self.params, self.domain.gens))
-        self.zero = self.domain.zero
-        self.one = self.domain.one
+        n = len(self.params)
+        self._unit = (0,) * n
+        self._ring_one = _ZPoly({self._unit: 1})
+        self.zero = _Frac(_ZPoly(), self._ring_one, self)
+        self.one = _Frac(self._ring_one, self._ring_one, self)
+        self._gens = {name: _Frac(_ZPoly({tuple(int(i == k) for i in range(n)): 1}),
+                                  self._ring_one, self)
+                      for k, name in enumerate(self.params)}
 
     def __eq__(self, other):
         return isinstance(other, CoeffField) and self.params == other.params
@@ -67,16 +391,39 @@ class CoeffField:
     # -- construction --------------------------------------------------
 
     def from_fraction(self, q) -> object:
-        """Coerce an int / Fraction / QQ element into the field."""
+        """Coerce an int or Fraction into the field."""
         num, den = int(q.numerator), int(q.denominator)
         if not self.params:
             return Fraction(num, den)
-        return self.domain.field.ground_new(self.domain.dom(num, den))
+        if not num:
+            return self.zero
+        return _Frac(_ZPoly({self._unit: num}),
+                     _ZPoly({self._unit: den}) if den != 1 else self._ring_one, self)
 
     def param(self, name: str):
         if name not in self._gens:
             raise KeyError("unknown parameter %r" % name)
         return self._gens[name]
+
+    def _frac(self, num: _ZPoly, den: _ZPoly) -> _Frac:
+        """num/den in canonical form: divided by their gcd, sign fixed on the
+        denominator.  An integer denominator needs only the integer gcd."""
+        if not num:
+            return self.zero
+        if den.is_ground:
+            (u, d), = den.items()
+            g = gcd(d, *num.values())
+            if d < 0:
+                g = -g
+            if g != 1:
+                num, den = num // g, _ZPoly({u: d // g})
+            return _Frac(num, den, self)
+        g = self.ring_gcd([num, den])
+        if den.LC < 0:
+            g = -g
+        if g != 1:
+            num, den = num // g, den // g
+        return _Frac(num, den, self)
 
     # -- predicates -----------------------------------------------------
 
@@ -95,8 +442,7 @@ class CoeffField:
             return c
         if not self.is_constant(c):
             raise ValueError("coefficient %s is not constant" % self.to_str(c))
-        q = c.numer.LC / c.denom.LC
-        return Fraction(int(q.numerator), int(q.denominator))
+        return Fraction(c.numer.LC, c.denom.LC)
 
     # -- content normalization ------------------------------------------
 
@@ -123,23 +469,16 @@ class CoeffField:
 
     # -- the ring beneath the field ----------------------------------------
 
-    @property
-    def ring(self):
-        """Z[params] as a sympy ring, built on first use; None over Q, whose
-        ring elements are plain ints."""
-        if self._ring is None and self.params:
-            self._ring = self.domain.field.ring.clone(domain=self.domain.dom.get_ring())
-        return self._ring
-
     def ring_denominator(self, coeffs):
         """A common denominator of the field elements coeffs, as a ring
         element: the lcm of their denominators."""
         if not self.params:
             return lcm(*(c.denominator for c in coeffs))
-        den = self.ring.one
+        den = self._ring_one
         for c in coeffs:
-            if c.denom != 1:
-                den = den.lcm(c.denom.set_ring(self.ring))
+            d = c.denom
+            if d != 1 and d != den:
+                den = den * (d // self.ring_gcd([den, d]))
         return den
 
     def to_ring(self, c, den=1):
@@ -147,15 +486,13 @@ class CoeffField:
         ``ring_denominator``."""
         if not self.params:
             return c.numerator * (den // c.denominator)
-        num = c.numer.set_ring(self.ring)
-        return num if den == 1 else num * (den // c.denom.set_ring(self.ring))
+        return c.numer if den == 1 else c.numer * (den // c.denom)
 
     def from_ring(self, c):
         """The field element equal to the ring element c."""
         if not self.params:
             return Fraction(c)
-        field = self.domain.field
-        return field.raw_new(c.set_ring(field.ring))
+        return _Frac(c, self._ring_one, self)
 
     def ring_gcd(self, coeffs):
         """gcd of ring elements, integer content included (positive leading
@@ -163,7 +500,8 @@ class CoeffField:
 
         Over Z[params], when one of coeffs is a term, the gcd is a term
         read off the terms (see the module docstring: every divisor of a term
-        is a term); otherwise sympy's gcds are folded over coeffs."""
+        is a term); otherwise the heuristic gcd is folded over coeffs, and
+        the term rule takes over once the running gcd is a term."""
         if not self.params:
             g = 0
             for c in coeffs:
@@ -171,49 +509,25 @@ class CoeffField:
                 if g == 1:
                     break
             return g
+        coeffs = [c for c in coeffs if c]
         if any(len(c) == 1 for c in coeffs):
-            n, e = 0, None
-            for c in coeffs:
-                for m, a in c.items():
-                    n = gcd(n, a)
-                    e = m if e is None else tuple(map(min, e, m))
-            return self.ring({e: n})
-        coeffs = iter(coeffs)
-        g = self.ring.zero
-        for c in coeffs:
-            g = g.gcd(c)
-            if g.is_ground:
-                n = g.LC
-                for c in coeffs:
-                    if n == 1:
-                        break
-                    n = gcd(n, c.content())
-                return self.ring(n)
+            return _term_gcd(coeffs)
+        g = _ZPoly()
+        for i, c in enumerate(coeffs):
+            g = _heugcd(g, c) if g else -c if c.LC < 0 else c
+            if len(g) == 1:
+                return _term_gcd([g, *coeffs[i + 1:]])
         return g
 
     def ring_primitive(self, lead, coeffs):
         """The ring elements coeffs divided by their gcd, negated when that
         leaves a negative leading coefficient on lead, or None when they stay
         as they are.  The result is primitive, so it is the same for every
-        nonzero multiple of coeffs by a ring element.
-
-        A gcd that is a term d*p^e (always so when one of coeffs is a term,
-        see ``ring_gcd``) divides each term exactly: its exponents drop by e
-        and its integer coefficient is divided by d with ``//``."""
+        nonzero multiple of coeffs by a ring element."""
         g = self.ring_gcd(coeffs)
-        if not self.params:
-            if lead < 0:
-                g = -g
-            return None if g == 1 else [c // g for c in coeffs]
-        if lead.LC < 0:
+        if (lead.LC if self.params else lead) < 0:
             g = -g
-        if g == 1:
-            return None
-        if len(g) > 1:
-            return [c.exquo(g) for c in coeffs]
-        (e, d), = g.items()
-        return [c.new({tuple(i - j for i, j in zip(m, e)): a // d
-                       for m, a in c.items()}) for c in coeffs]
+        return None if g == 1 else [c // g for c in coeffs]
 
     def canonical_assumption(self, c):
         """Canonical representative of the vanishing locus of c: the integer
@@ -221,14 +535,10 @@ class CoeffField:
         if not self.params:
             return self.one
         num = c.numer
-        cnum, cden = 0, 1
-        for q in num.coeffs():
-            cnum = gcd(cnum, int(q.numerator))
-            cden = lcm(cden, int(q.denominator))
-        u = self.domain.dom(cden, cnum)
+        g = num.content()
         if num.LC < 0:
-            u = -u
-        return self.domain.field.field_new(num * u)
+            g = -g
+        return _Frac(num // g, self._ring_one, self)
 
     # -- substitution ----------------------------------------------------
 
@@ -241,20 +551,37 @@ class CoeffField:
         """
         if not self.params:
             return target.from_fraction(self.as_fraction(c))
-        point = [(g, values[name]) for name, g in zip(self.params, c.numer.ring.gens)
-                 if name in values]
+        point = {i: values[name] for i, name in enumerate(self.params) if name in values}
         num, den = c.numer.evaluate(point), c.denom.evaluate(point)
         if not den:
             raise ZeroDivisionError("denominator vanishes under the assignment")
         if not target.params:
-            return target.from_fraction(num / den)
-        return target.domain.convert(num) / target.domain.convert(den)
+            return target.from_fraction(Fraction(num.get((), 0)) / den[()])
+        rest = [name for name in self.params if name not in values]
+        scale = lcm(*(Fraction(a).denominator for p in (num, den) for a in p.values()))
+        return target._frac(target._embed(num, rest, scale), target._embed(den, rest, scale))
 
     def convert_to(self, c, target: "CoeffField"):
         """Embed into a field with a superset of parameters."""
         if not self.params:
             return target.from_fraction(c)
-        return target.domain.convert_from(c, self.domain)
+        num, den = target._embed(c.numer, self.params), target._embed(c.denom, self.params)
+        if den.LC < 0:
+            num, den = -num, -den
+        return _Frac(num, den, target)
+
+    def _embed(self, p, names, scale=1) -> _ZPoly:
+        """The ring element with p's exponent of names[i] at that name's
+        position among the params, and p's coefficients times scale (which
+        must leave integers)."""
+        where = [self.params.index(name) for name in names]
+        out = _ZPoly()
+        for m, a in p.items():
+            e = list(self._unit)
+            for i, k in zip(where, m):
+                e[i] = k
+            out[tuple(e)] = int(a * scale)
+        return out
 
     # -- printing ----------------------------------------------------------
 
@@ -266,18 +593,16 @@ class CoeffField:
         if not self.params:
             return _frac_str(c)
         if not c.denom.is_ground:
-            return "(%s)/(%s)" % (self._poly_str(c.numer, Fraction(1)),
-                                  self._poly_str(c.denom, Fraction(1)))
-        den = Fraction(int(c.denom.LC.numerator), int(c.denom.LC.denominator))
-        return self._poly_str(c.numer, den)
+            return "(%s)/(%s)" % (self._poly_str(c.numer, 1), self._poly_str(c.denom, 1))
+        return self._poly_str(c.numer, c.denom.LC)
 
-    def _poly_str(self, p, den: Fraction) -> str:
+    def _poly_str(self, p, den: int) -> str:
         if not p:
             return "0"
-        terms = sorted(p.terms(), key=lambda t: (sum(t[0]), tuple(t[0])), reverse=True)
+        terms = sorted(p.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
         parts = []
-        for exps, q in terms:
-            coef = Fraction(int(q.numerator), int(q.denominator)) / den
+        for exps, a in terms:
+            coef = Fraction(a, den)
             mon = "*".join(
                 n if e == 1 else "%s^%d" % (n, e)
                 for n, e in zip(self.params, exps) if e

@@ -1,5 +1,8 @@
-"""The coefficient field: Q as Fraction over plain ints, sympy only for Q(params)."""
+"""The coefficient fields: Q as Fraction over plain ints, Q(params) as
+fractions over the package's own Z[params]; sympy serves only as the test
+oracle for the gcd, the field arithmetic and the substitutions."""
 
+import operator
 import os
 import subprocess
 import sys
@@ -9,20 +12,27 @@ from pathlib import Path
 
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
+from sympy import QQ, ZZ
+from sympy.polys.fields import field as sympy_field
+from sympy.polys.rings import ring as sympy_ring
 
 from localstd import CoeffField, VarCtx, parse_poly
+from localstd.coeffs import _ZPoly
 
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 Q = CoeffField(())
 QT = CoeffField(("t",))
+QST = CoeffField(("s", "t"))
 
 rationals = st.fractions(max_denominator=1000)
 
 SYMPY_FREE = """
 import random, sys
-from localstd import (SingularityClass, VarCtx, milnor_local, parse_poly,
-                      sample_witness, stratum_catalog, tyurina_local, verify_stratum)
+from fractions import Fraction
+from localstd import (SingularityClass, VarCtx, build_versal_family, milnor_local,
+                      parse_poly, sample_witness, special_adjacency_family,
+                      stratum_catalog, tyurina_fused, tyurina_local, verify_stratum)
 from localstd.cli import main
 
 f = parse_poly("x^3 + y^4 - 1/2*x^2*y^2", VarCtx(["x", "y"]))
@@ -31,19 +41,23 @@ stratum = stratum_catalog(SingularityClass("E", 6))[0]
 assert verify_stratum(SingularityClass("E", 6), stratum,
                       sample_witness(stratum, random.Random(1))).ok
 assert main(["poly-milnor", "--vars", "x,y", "x^3 + y^4"]) == 0
-print("sympy" in sys.modules)
-VarCtx(["x"], ["t"])
+fam = special_adjacency_family("a7-from-e8")
+assert milnor_local(fam).dimension == 7
+assert tyurina_fused(fam).local_part.dimension == 7
+assert milnor_local(fam.specialize_params({"t": Fraction(1, 3)})).dimension == 7
+assert build_versal_family(parse_poly("x^3 + y^4", VarCtx(["x", "y"]))).tyurina_number == 6
+assert main(["adjacency", "a7-from-e8", "--t", "1,-1"]) == 0
 print("sympy" in sys.modules)
 """
 
 
-def test_parameter_free_runs_never_import_sympy():
-    # A fresh interpreter: the Q pipelines leave sympy unloaded, and the
-    # first context with a parameter loads it.
+def test_no_run_imports_sympy():
+    # A fresh interpreter: Q and Q(t) pipelines, a specialization, a versal
+    # family and the CLI on a parametric family all leave sympy unloaded.
     env = {**os.environ, "PYTHONPATH": str(SRC)}
     out = subprocess.run([sys.executable, "-c", SYMPY_FREE], check=True,
                          capture_output=True, text=True, env=env)
-    assert out.stdout.split()[-2:] == ["False", "True"]
+    assert out.stdout.split()[-1] == "False"
 
 
 @settings(max_examples=200, deadline=None)
@@ -79,3 +93,131 @@ def test_specialize_q_t_to_q(num, den, point):
     got = QT.specialize(c, {"t": point}, Q)
     assert type(got) is Fraction and got == value[0] / value[1]
     assert Q.convert_to(point, QT) == QT.from_fraction(point)
+
+
+# ---------------------------------------------------------------------------
+# sympy as an independent oracle for Z[params] and Q(params)
+# ---------------------------------------------------------------------------
+
+def z_terms(data, nvars, min_size=1, max_size=4):
+    """A nonzero element of Z[nvars generators] as a dict of terms."""
+    exps = st.tuples(*[st.integers(0, 3)] * nvars)
+    return data.draw(st.dictionaries(exps, st.integers(-6, 6).filter(bool),
+                                     min_size=min_size, max_size=max_size))
+
+
+def as_ints(p) -> dict:
+    """The terms of a sympy ring element with integer coefficients."""
+    assert all(q.denominator == 1 for q in p.values())
+    return {m: int(q.numerator) for m, q in p.items()}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.sampled_from([("s", "t"), ("l1", "l2", "l3")]))
+def test_ring_gcd_equals_the_sympy_gcd(data, names):
+    # Lists over Z[s, t] or Z[l1, l2, l3] times a planted common factor (a
+    # term, a multi-term polynomial or one); each input is built in both
+    # representations, and the products and the gcd must agree.
+    field, R = CoeffField(names), sympy_ring(",".join(names), ZZ)[0]
+    n = len(names)
+    factor = z_terms(data, n, max_size=data.draw(st.sampled_from([1, 3])))
+    cofactors = [z_terms(data, n, min_size=data.draw(st.sampled_from([1, 2])))
+                 for _ in range(data.draw(st.integers(1, 4)))]
+    ours = [_ZPoly(c) * _ZPoly(factor) for c in cofactors]
+    theirs = [R(c) * R(factor) for c in cofactors]
+    assert ours == [as_ints(p) for p in theirs]
+    g = R.zero
+    for p in theirs:
+        g = g.gcd(p)
+    assert field.ring_gcd(ours) == as_ints(g)
+
+
+def sympy_to_str(c, names) -> str:
+    """The printed form of a sympy FracField element, written from its
+    numerator and denominator: terms by descending (degree, exponents),
+    divided by an integer denominator, or both parenthesized over a
+    parametric one."""
+    def poly_str(p, den):
+        parts = []
+        for exps, q in sorted(p.terms(), key=lambda t: (sum(t[0]), t[0]), reverse=True):
+            coef = Fraction(int(q.numerator), int(q.denominator)) / den
+            num = str(coef) if coef.denominator != 1 else str(coef.numerator)
+            mon = "*".join(x if e == 1 else "%s^%d" % (x, e) for x, e in zip(names, exps) if e)
+            parts.append(num if not mon else mon if coef == 1 else "-" + mon if coef == -1
+                         else "%s*%s" % (num, mon))
+        out = parts[0] if parts else "0"
+        for part in parts[1:]:
+            out += " - " + part[1:] if part.startswith("-") else " + " + part
+        return out
+
+    if c.denom.is_ground:
+        return poly_str(c.numer, Fraction(int(c.denom.LC.numerator)))
+    return "(%s)/(%s)" % (poly_str(c.numer, 1), poly_str(c.denom, 1))
+
+
+def both_fractions(data, names):
+    """A random element of Q(names), built from the same terms in the own
+    field and in sympy's FracField: a polynomial with rational coefficients
+    over a polynomial or an integer."""
+    ours, theirs = CoeffField(names), sympy_field(",".join(names), QQ)[0]
+    gens = [ours.param(x) for x in names]
+
+    def build(terms):
+        mine, ref = ours.zero, theirs.zero
+        for exps, q in terms.items():
+            mono, ref_mono = ours.from_fraction(q), theirs(QQ(q.numerator, q.denominator))
+            for g, x, e in zip(gens, theirs.gens, exps):
+                mono, ref_mono = mono * g ** e, ref_mono * x ** e
+            mine, ref = mine + mono, ref + ref_mono
+        return mine, ref
+
+    coef = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
+    exps = st.tuples(*[st.integers(0, 2)] * len(names))
+    num = build(data.draw(st.dictionaries(exps, coef, max_size=3)))
+    den = build(data.draw(st.dictionaries(exps, coef, min_size=1, max_size=2)))
+    return num[0] / den[0], num[1] / den[1]
+
+
+def same_element(mine, ref, field) -> bool:
+    return (as_ints(ref.numer) == mine.numer and as_ints(ref.denom) == mine.denom
+            and sympy_to_str(ref, field.params) == field.to_str(mine))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_field_arithmetic_equals_sympy(data):
+    # A random sequence of + - * / over Q(s, t) gives, at every step, the
+    # numerator, denominator and printed form of sympy's FracField.
+    mine, ref = both_fractions(data, QST.params)
+    assert same_element(mine, ref, QST)
+    for _ in range(data.draw(st.integers(1, 4))):
+        op = data.draw(st.sampled_from("+-*/"))
+        other, other_ref = both_fractions(data, QST.params)
+        if op == "/" and not other:
+            continue
+        fn = {"+": operator.add, "-": operator.sub, "*": operator.mul,
+              "/": operator.truediv}[op]
+        mine, ref = fn(mine, other), fn(ref, other_ref)
+        assert same_element(mine, ref, QST)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.fractions(min_value=-4, max_value=4, max_denominator=5))
+def test_partial_specialize_and_convert_equal_sympy(data, value):
+    # Q(s, t) -> Q(t) at s = value: the quotient of numerator and denominator
+    # evaluated there, as sympy computes it; and the embeddings Q(t) -> Q(s,
+    # t) and Q(s, t) -> Q(t, s) (a new generator order) are sympy's.
+    mine, ref = both_fractions(data, QST.params)
+    point = QQ(value.numerator, value.denominator)
+    num, den = ref.numer.evaluate(0, point), ref.denom.evaluate(0, point)
+    assume(den)
+    target = QQ.frac_field("t")
+    expected = target.convert(num) / target.convert(den)
+    got = QST.specialize(mine, {"s": value}, QT)
+    assert same_element(got, expected, QT)
+    assert same_element(QT.convert_to(got, QST),
+                        QQ.frac_field("s", "t").convert_from(expected, target), QST)
+    swapped = CoeffField(("t", "s"))
+    assert same_element(QST.convert_to(mine, swapped),
+                        QQ.frac_field("t", "s").convert_from(ref, QQ.frac_field("s", "t")),
+                        swapped)

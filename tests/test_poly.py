@@ -6,8 +6,12 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from sympy import ZZ
+from sympy.polys.rings import ring as sympy_ring
+
 from localstd import (CoeffField, ContextMismatchError, Monomial, Poly, VarCtx,
                       grevlex, parse_poly)
+from localstd.coeffs import _ZPoly
 
 
 def P(src, variables="x,y", params=""):
@@ -161,8 +165,8 @@ def test_coefficients_are_reduced_fractions():
     assert c == l + f.one  # cancelled eagerly
     d = l / f.from_fraction(-2)
     # denominator sign is canonical: the numerator carries the sign
-    assert d.denom.terms() == [((0,), Fraction(2))]
-    assert d.numer.terms() == [((1,), Fraction(-1))]
+    assert d.denom == {(0,): 2}
+    assert d.numer == {(1,): -1}
 
 
 def test_constant_coefficients_collapse():
@@ -293,23 +297,27 @@ def test_primitive_is_blind_to_a_unit_of_z_t(data):
 
 
 ZST = CoeffField(("s", "t"))
+SYMPY_ZST = sympy_ring("s,t", ZZ)[0]
 
 
 def reference_primitive(lead, coeffs):
-    """ring_primitive through sympy alone: fold the gcd, divide exactly, fix
-    the sign on lead; None when nothing changes."""
-    g = ZST.ring.zero
+    """ring_primitive through sympy alone, on sympy ring elements: fold the
+    gcd, divide exactly, fix the sign on lead; None when nothing changes,
+    else the quotients' terms."""
+    g = SYMPY_ZST.zero
     for c in coeffs:
         g = g.gcd(c)
     quotients = [c.exquo(g) for c in coeffs]
     if lead.exquo(g).LC < 0:
         quotients = [-q for q in quotients]
-    return None if quotients == coeffs else quotients
+    if quotients == coeffs:
+        return None
+    return [{m: int(a) for m, a in q.items()} for q in quotients]
 
 
 def z_st(src):
-    s, t = ZST.ring.gens
-    return eval(src.replace("^", "**"), {"s": s, "t": t})
+    """The element of Z[s, t] written by src."""
+    return ZST.to_ring(parse_poly(src, VarCtx(["x"], ZST.params)).constant_coeff())
 
 
 @pytest.mark.parametrize("lead, coeffs, expected", [
@@ -331,37 +339,46 @@ def test_ring_primitive_examples(lead, coeffs, expected):
 def test_ring_primitive_equals_the_sympy_gcd_fold(data):
     # Coefficient lists over Z[s, t], with or without a single-term member,
     # times a planted common factor: a term, a multi-term polynomial, both or
-    # none.  A term content is read off the terms, any other comes from
-    # sympy's gcd; both must give the reference's quotients and sign.
-    ring = ZST.ring
+    # none.  Each list is built from the same terms as own ring elements and
+    # as sympy's; a term content is read off the terms, any other comes from
+    # the heuristic gcd, and both must give sympy's quotients and sign.
     nonzero = st.integers(-4, 4).filter(bool)
     exps = st.tuples(st.integers(0, 3), st.integers(0, 3))
 
     def term():
-        return ring({data.draw(exps): data.draw(nonzero)})
+        return {data.draw(exps): data.draw(nonzero)}
 
     def multi_term():
-        return ring(data.draw(st.dictionaries(exps, nonzero, min_size=2, max_size=3)))
+        return data.draw(st.dictionaries(exps, nonzero, min_size=2, max_size=3))
 
     with_term = data.draw(st.booleans())
     # a multi-term factor would leave no term in the list
     kind = data.draw(st.sampled_from(["none", "term"] if with_term
                                      else ["none", "term", "poly", "both"]))
-    factor = ring.one
+    factor = []
     if kind in ("term", "both"):
-        factor *= term()
+        factor.append(term())
     if kind in ("poly", "both"):
-        factor *= multi_term()
-    coeffs = [multi_term() for _ in range(data.draw(st.integers(0 if with_term else 1, 3)))]
+        factor.append(multi_term())
+    cofactors = [multi_term() for _ in range(data.draw(st.integers(0 if with_term else 1, 3)))]
     if with_term:
-        coeffs.insert(data.draw(st.integers(0, len(coeffs))), term())
-    coeffs = [c * factor for c in coeffs]
-    i = data.draw(st.integers(0, len(coeffs) - 1))
-    if data.draw(st.booleans()) != (coeffs[i].LC < 0):
-        coeffs[i] = -coeffs[i]
-    assert any(len(c) == 1 for c in coeffs) == with_term
+        cofactors.insert(data.draw(st.integers(0, len(cofactors))), term())
 
-    assert ZST.ring_primitive(coeffs[i], coeffs) == reference_primitive(coeffs[i], coeffs)
+    def times_factor(ring, terms):
+        out = ring(terms)
+        for f in factor:
+            out = out * ring(f)
+        return out
+
+    ours = [times_factor(_ZPoly, c) for c in cofactors]
+    theirs = [times_factor(SYMPY_ZST, c) for c in cofactors]
+    i = data.draw(st.integers(0, len(ours) - 1))
+    if data.draw(st.booleans()) != (theirs[i].LC < 0):
+        ours[i], theirs[i] = -ours[i], -theirs[i]
+    assert ours == [{m: int(a) for m, a in c.items()} for c in theirs]
+    assert any(len(c) == 1 for c in ours) == with_term
+
+    assert ZST.ring_primitive(ours[i], ours) == reference_primitive(theirs[i], theirs)
 
 
 @settings(max_examples=25, deadline=None)

@@ -9,7 +9,8 @@ from pathlib import Path
 from fractions import Fraction
 
 from localstd import (SingularityClass, VarCtx, engines, milnor_local, parse_poly,
-                      stratum_catalog, verify_stratum)
+                      special_adjacency_family, stratum_catalog, tyurina_local,
+                      verify_stratum)
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
 
@@ -52,3 +53,24 @@ def test_tracer_sees_the_parser_on_the_strata_path(monkeypatch):
     calls = {name: c for name, (c, _, _) in tracer.snapshot().items()}
     assert calls["singularities.eval_param_expr"] >= 1
     assert calls["parser.parse"] > calls["singularities.eval_param_expr"]
+
+
+def test_tracer_over_a_parametric_family(monkeypatch):
+    # The tracer reads Q(t) coefficients through their numer, denom and
+    # coeffs(); a traced run over Q(t) gives the untraced answer.
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import tracing
+
+    f = special_adjacency_family("a7-from-e8")
+    untraced = tyurina_local(f).to_json_dict()
+    tracer = tracing.Tracer()
+    tracer.install()
+    try:
+        traced = tyurina_local(f).to_json_dict()
+        f.scale(f.ctx.field.from_fraction(Fraction(6, 35))).primitive()
+    finally:
+        tracer.uninstall()
+    assert traced == untraced
+    calls = {name: c for name, (c, _, _) in tracer.snapshot().items()}
+    assert calls["engines.completion"] >= 1 and calls["poly.primitive"] == 1
+    assert tracer.max_bits == tracing._coeff_bits(f) > 0
