@@ -224,7 +224,7 @@ def _heugcd(f: _ZPoly, g: _ZPoly) -> _ZPoly:
     for _ in range(_HEU_GCD_MAX):
         ff, gg = f.evaluate({0: x}), g.evaluate({0: x})
         if ff and gg:
-            h = gcd(ff[()], gg[()]) if univariate else _heugcd(ff, gg)
+            h = _ZPoly({(): gcd(ff[()], gg[()])}) if univariate else _heugcd(ff, gg)
             h = _interpolate(h, x)
             h = h // h.content()
             if _quotient(f, h) is not None and _quotient(g, h) is not None:
@@ -233,13 +233,13 @@ def _heugcd(f: _ZPoly, g: _ZPoly) -> _ZPoly:
     raise HeuristicGCDFailed("no gcd found at %d evaluation points" % _HEU_GCD_MAX)
 
 
-def _interpolate(h, x: int) -> _ZPoly:
+def _interpolate(h: _ZPoly, x: int) -> _ZPoly:
     """The polynomial in a new first generator whose coefficients are the
-    balanced base-x digits of h (an int, or each coefficient of a ring
-    element), negated if its leading coefficient is negative."""
+    balanced base-x digits of the coefficients of h, negated if its leading
+    coefficient is negative."""
     f = _ZPoly()
     half = x // 2
-    for m, a in h.items() if isinstance(h, dict) else (((), h),):
+    for m, a in h.items():
         i = 0
         while a:
             d = a % x
