@@ -43,7 +43,7 @@ _ERRORS = [
     ((OrderClassError, OrderDefinitionError), EXIT_ORDER, "order error: "),
     (NonIsolatedError, EXIT_NON_ISOLATED, ""),
     (StepBudgetExceeded, EXIT_BUDGET, ""),
-    ((ValueError, KeyError, ZeroDivisionError, RuntimeError, OSError), EXIT_ERROR,
+    ((ValueError, KeyError, ArithmeticError, RuntimeError, OSError), EXIT_ERROR,
      "error: "),
 ]
 

@@ -30,6 +30,15 @@ integer in their first generator, the gcd of the images is interpolated back
 in balanced base-x digits, and it is kept when its primitive part divides
 both inputs exactly.
 
+Two multi-term elements of Z[params] multiply packed along the generator v
+of largest degree in the product (Kronecker substitution in v alone; Fateman
+2005, Harvey 2009): each operand is grouped by its other exponents, a group
+a*p^e becomes the integer sum a*2^(B*e_v), groups multiply as integers, and
+the sums are read back in balanced base-2^B digits.  A product coefficient
+is a sum of at most n = min(len f, len g) products a*b, so with B =
+bits(max|a|) + bits(max|b|) + bits(n) + 1 it lies below 2^(B-1) in absolute
+value and no digit overflows.
+
 When both denominators of a field operation are integers, the result's only
 possible common factor is an integer, so it is cancelled with the integer
 gcd of the numerator's coefficients; no polynomial gcd runs.
@@ -109,13 +118,27 @@ class _ZPoly(dict):
         if len(self) == 1:
             (m1, a1), = self.items()
             return _ZPoly({tuple(map(add, m1, m2)): a1 * a2 for m2, a2 in other.items()})
-        p = {}
-        get = p.get
-        for m1, a1 in self.items():
-            for m2, a2 in other.items():
-                m = tuple(map(add, m1, m2))
-                p[m] = get(m, 0) + a1 * a2
-        return _ZPoly({m: a for m, a in p.items() if a})
+        if not self:
+            return _ZPoly()
+        deg = list(map(add, map(max, *self), map(max, *other)))
+        v = deg.index(max(deg))
+        bits = (max(map(abs, self.values())).bit_length()
+                + max(map(abs, other.values())).bit_length() + len(self).bit_length() + 1)
+        f, g, p = {}, {}, {}
+        for h, packed in ((self, f), (other, g)):
+            for m, a in h.items():
+                k = m[:v] + m[v + 1:]
+                packed[k] = packed.get(k, 0) + (a << bits * m[v])
+        for k1, a1 in f.items():
+            for k2, a2 in g.items():
+                k = tuple(map(add, k1, k2))
+                p[k] = p.get(k, 0) + a1 * a2
+        out, x = _ZPoly(), 1 << bits
+        for k, a in p.items():
+            head, tail = k[:v], k[v:]
+            for e, d in _balanced_digits(a, x):
+                out[head + (e,) + tail] = d
+        return out
 
     __rmul__ = __mul__
 
@@ -238,18 +261,25 @@ def _interpolate(h: _ZPoly, x: int) -> _ZPoly:
     balanced base-x digits of the coefficients of h, negated if its leading
     coefficient is negative."""
     f = _ZPoly()
-    half = x // 2
     for m, a in h.items():
-        i = 0
-        while a:
-            d = a % x
-            if d > half:
-                d -= x
-            a = (a - d) // x
-            if d:
-                f[(i,) + m] = d
-            i += 1
+        for i, d in _balanced_digits(a, x):
+            f[(i,) + m] = d
     return -f if f.LC < 0 else f
+
+
+def _balanced_digits(a: int, x: int):
+    """The nonzero balanced base-x digits of a, in (-x/2, x/2], as
+    (position, digit) pairs."""
+    half = x // 2
+    i = 0
+    while a:
+        a, d = divmod(a, x)
+        if d > half:
+            d -= x
+            a += 1
+        if d:
+            yield i, d
+        i += 1
 
 
 class _Frac:

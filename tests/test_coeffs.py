@@ -1,6 +1,6 @@
 """The coefficient fields: Q as Fraction over plain ints, Q(params) as
 fractions over the package's own Z[params]; sympy serves only as the test
-oracle for the gcd, the field arithmetic and the substitutions."""
+oracle for the product, the gcd, the field arithmetic and the substitutions."""
 
 import operator
 import os
@@ -10,7 +10,8 @@ from fractions import Fraction
 from math import gcd, lcm
 from pathlib import Path
 
-from hypothesis import assume, given, settings
+import pytest
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import QQ, ZZ
 from sympy.polys.fields import field as sympy_field
@@ -81,6 +82,7 @@ def test_q_field_contract(qs):
 @settings(max_examples=150, deadline=None)
 @given(st.lists(rationals, min_size=1, max_size=4),
        st.lists(rationals, min_size=1, max_size=4), rationals)
+@example(num=[0], den=[1], point=0)
 def test_specialize_q_t_to_q(num, den, point):
     # Q(t) at t = point lands in Q as a Fraction: the quotient of the
     # numerator and the denominator evaluated there.
@@ -130,6 +132,56 @@ def test_ring_gcd_equals_the_sympy_gcd(data, names):
     for p in theirs:
         g = g.gcd(p)
     assert field.ring_gcd(ours) == as_ints(g)
+
+
+def sympy_product(f: dict, g: dict, nvars: int) -> dict:
+    R = sympy_ring(",".join("l%d" % i for i in range(nvars)), ZZ)[0]
+    return as_ints(R(f) * R(g))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data(), st.integers(1, 4))
+def test_packed_product_equals_the_sympy_product(data, nvars):
+    # Products of 2-40 terms by 2-40 terms in 1-4 generators, exponents up to
+    # 30 with gaps, coefficients from small to 2^256 of both signs.
+    exps = st.tuples(*[st.integers(0, 30)] * nvars)
+    coef = st.one_of(st.integers(-6, 6), st.integers(-2 ** 256, 2 ** 256)).filter(bool)
+    f, g = (data.draw(st.dictionaries(exps, coef, min_size=2, max_size=40))
+            for _ in range(2))
+    product = sympy_product(f, g, nvars)
+    assert _ZPoly(f) * _ZPoly(g) == product
+    assert _ZPoly(g) * _ZPoly(f) == product
+
+
+K = 2 ** 64
+
+
+@pytest.mark.parametrize("f, g", [
+    # (t + 1)(t - 1): the middle digit cancels inside the one group
+    ({(1,): 1, (0,): 1}, {(1,): 1, (0,): -1}),
+    # (s + t)(s - t) packed along s: the group of t^1 vanishes entirely
+    ({(1, 0): 1, (0, 1): 1}, {(1, 0): 1, (0, 1): -1}),
+    # (-t^2 + 1)(t + 1): a negative top digit
+    ({(2,): -1, (0,): 1}, {(1,): 1, (0,): 1}),
+    # coefficients at +-(2^k - 1) and -2^k, so the digits fill their width
+    ({(3,): K - 1, (1,): -K, (0,): -(K - 1)}, {(2,): -K, (1,): K - 1, (0,): -K}),
+    ({(1, 1): -K, (0, 2): K - 1, (0, 0): 1 - K}, {(2, 0): K - 1, (0, 1): -K}),
+    # the bound is tight: the t^2 coefficient 3*(2^64 - 1)^2 needs every bit
+    ({(2,): K - 1, (1,): K - 1, (0,): K - 1}, {(2,): K - 1, (1,): K - 1, (0,): K - 1}),
+    # s + 1 has exponent 0 in t, the packed generator, in every term
+    ({(1, 0): 1, (0, 0): 1}, {(0, 5): 3, (0, 1): -2}),
+    # univariate: the whole product is one big-integer multiply
+    ({(30,): 2 ** 200, (17,): -1, (0,): 5}, {(29,): -(2 ** 100), (3,): 7, (1,): 1}),
+])
+def test_packed_product_edge_cases(f, g):
+    product = sympy_product(f, g, len(next(iter(f))))
+    assert _ZPoly(f) * _ZPoly(g) == product == _ZPoly(g) * _ZPoly(f)
+
+
+def test_product_with_zero():
+    f = _ZPoly({(1, 0): 2, (0, 3): -1})
+    assert _ZPoly() * f == 0 and f * _ZPoly() == 0 and _ZPoly() * _ZPoly() == 0
+    assert f * 0 == 0 and type(f * _ZPoly()) is _ZPoly
 
 
 def sympy_to_str(c, names) -> str:

@@ -7,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from localstd import (ParseError, UndeclaredSymbolError, VarCtx, grevlex,
-                      neg_grevlex, parse_poly)
+from localstd import (ParseError, UndeclaredSymbolError, VarCtx, coeffs,
+                      grevlex, neg_grevlex, parse_poly)
 from localstd.cli import main
 
 
@@ -294,6 +294,19 @@ def test_cli_unreadable_file_exit_1(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("localstd: error: ")
     assert "missing.txt" in err
+
+
+def test_cli_arithmetic_failure_exit_1(monkeypatch, capsys):
+    # A heuristic gcd that finds no gcd (an ArithmeticError) on a parametric
+    # run is reported like any other error, not as a traceback.
+    def fail(f, g):
+        raise coeffs.HeuristicGCDFailed("no gcd found at 6 evaluation points")
+
+    monkeypatch.setattr(coeffs, "_heugcd", fail)
+    rc = main(["tyurina", "--vars", "x,y", "--params", "t", "x^3+y^4+x*y^2+t*x^2"])
+    assert rc == 1
+    assert capsys.readouterr().err == \
+        "localstd: error: no gcd found at 6 evaluation points\n"
 
 
 def test_cli_key_error_message_is_unquoted(capsys):
