@@ -269,11 +269,17 @@ def _interpolate(h: _ZPoly, x: int) -> _ZPoly:
 
 def _balanced_digits(a: int, x: int):
     """The nonzero balanced base-x digits of a, in (-x/2, x/2], as
-    (position, digit) pairs."""
+    (position, digit) pairs.  A power of two x (the packed product's) is
+    read by masks and shifts, without a long division per digit."""
     half = x // 2
+    mask, bits = x - 1, x.bit_length() - 1
+    shift = not x & mask
     i = 0
     while a:
-        a, d = divmod(a, x)
+        if shift:
+            a, d = a >> bits, a & mask
+        else:
+            a, d = divmod(a, x)
         if d > half:
             d -= x
             a += 1

@@ -1,8 +1,11 @@
 """Completion engines: Buchberger for global orders, Mora for local orders.
 
 Both engines work fraction-free: S-polynomials cross-multiply leading
-coefficients instead of dividing, and every intermediate polynomial is kept
-primitive (common coefficient content removed).  Over parametric coefficient
+coefficients instead of dividing.  Content (the gcd of the coefficients) is
+removed where a polynomial is kept: when it enters the basis or the Mora
+pool, and when ``s_polynomial`` or ``weak_normal_form`` returns it.  Between
+those points a reduction chain runs on a unit multiple of the primitive
+polynomial, so one gcd serves a whole chain.  Over parametric coefficient
 fields this both bounds growth and keeps leading coefficients meaningful for
 the stratification workflow.
 
@@ -144,18 +147,19 @@ def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
     monomial cancels."""
     if f.is_zero() or g.is_zero():
         raise ValueError("S-polynomial of a zero polynomial")
-    return _from_ring(_spoly(_to_ring(f)[0], _to_ring(g)[0], order))
+    return _from_ring(_primitive(_spoly(_to_ring(f)[0], _to_ring(g)[0], order), order))
 
 
 def _spoly(f: Poly, g: Poly, order: MonomialOrder,
            corner: Optional[int] = None) -> Poly:
-    """s_polynomial on ring coefficients, truncated below the corner."""
+    """s_polynomial on ring coefficients, truncated below the corner, with
+    its content left in."""
     cf, mf = f.leading_term(order)
     cg, mg = g.leading_term(order)
     l = mf.lcm(mg)
     a = f.mul_term(cg, l.quo(mf))
     b = g.mul_term(cf, l.quo(mg))
-    return _primitive(_truncate(a - b, corner), order)
+    return _truncate(a - b, corner)
 
 
 def _truncate(p: Poly, corner: Optional[int]) -> Poly:
@@ -214,16 +218,17 @@ def _divide(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget):
             h = h - Poly(h.ctx, {mh: ch})
             continue
         cg, mg, g = hit
-        h = h.scale(cg) - g.mul_term(ch, mh.quo(mg))
-        r = r.scale(cg)
-        u = u * cg
+        if cg != 1:
+            h, r, u = h.scale(cg), r.scale(cg), u * cg
+        h = h - g.mul_term(ch, mh.quo(mg))
     return r, u
 
 
 def _reduce_full(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -> Poly:
-    """The remainder of _divide, made primitive: up to a unit, the one
-    division over the field gives."""
-    return _primitive(_divide(f, gens, order, budget)[0], order)
+    """The remainder of _divide: up to a unit, the one division over the
+    field gives.  Its content is left in; the caller removes it where the
+    remainder is kept."""
+    return _divide(f, gens, order, budget)[0]
 
 
 def weak_normal_form(f: Poly, G: PolySet, step_budget: Optional[int] = None) -> Poly:
@@ -240,12 +245,14 @@ def weak_normal_form(f: Poly, G: PolySet, step_budget: Optional[int] = None) -> 
     budget = _Budget(step_budget)
     fr = _to_ring(f)[0]
     h = _weak_nf(fr, [_to_ring(g)[0] for g in G], order, budget)
-    return f if h is fr else _from_ring(h)
+    return f if h is fr else _from_ring(_primitive(h, order))
 
 
 def _weak_nf(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -> Poly:
-    """Weak normal form on ring coefficients; primitive when f is, as every
-    step is an S-polynomial."""
+    """Weak normal form on ring coefficients, up to a unit.  The chain runs
+    on S-polynomials with their content left in; h is made primitive only
+    when it enters the pool, and the caller removes the content of the
+    result where it is kept."""
     h = f
     pool = list(gens)
     pool_lm = [g.leading_monomial(order) for g in pool]
@@ -263,6 +270,7 @@ def _weak_nf(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -
             return h
         eh = ecart(h, order)
         if eh < pool_ecart[best]:
+            h = _primitive(h, order)
             pool.append(h)
             pool_lm.append(mh)
             pool_ecart.append(eh)
@@ -313,10 +321,13 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
     with the supplied reducer (full division or Mora weak normal form).
 
     Completion runs on ring coefficients: the seed is cleared of
-    denominators and made primitive, and the basis is returned over the
-    field.  Both reducers return primitive polynomials (an S-polynomial is
-    primitive, and so is a weak normal form of one), so new elements enter
-    the basis as they come.
+    denominators, and the basis is returned over the field.  Content is
+    removed where a polynomial is kept: every element is made primitive as
+    it enters the basis (seed elements, reduced S-polynomials and elements
+    truncated at a new corner).  S-polynomials and reducer results carry
+    their content, which differs from the primitive one by a unit; zero
+    tests, leading monomials, ecarts and truncation do not see a unit, so
+    the run takes the same steps and keeps the same elements.
 
     Under neg_grevlex over Q (a local order, so the reducer is the weak
     normal form) the run truncates at the highest corner; see the module
@@ -376,7 +387,7 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
             continue
         h = reducer(sp, [f[k] for k in sorted(G)], order, budget)
         if not h.is_zero():
-            add(h)
+            add(_primitive(h, order))
 
     return [_from_ring(f[k]) for k in sorted(G)]
 

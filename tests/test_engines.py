@@ -188,6 +188,23 @@ def test_weak_nf_no_divisor_returns_input():
     assert weak_normal_form(f, G) == f
 
 
+@pytest.mark.parametrize("ctx, fsrc, csrc", [
+    (VarCtx(["x", "y"], ["t"]), "x^3 + t*x*y^2 + y^5 + (t+1)*x^2*y^2", "t^2 + 2*t - 3"),
+    (XY, "x^3 + 2*x*y^2 + y^5 + 3*x^2*y^2", "6"),
+])
+def test_weak_nf_is_blind_to_a_unit(ctx, fsrc, csrc):
+    # the reduction chain carries content until its result is kept; the
+    # public result is primitive, so a unit multiple of f gives the same one
+    f = P(fsrc, ctx)
+    o = neg_grevlex()
+    g1, g2 = f.partial_derivative(0), f.partial_derivative(1)
+    G = PolySet([g1, g2], o)
+    c = P(csrc, ctx).constant_coeff()
+    want = weak_normal_form(f, G)
+    assert want != f and not want.is_zero()    # at least one step applies
+    assert weak_normal_form(f.scale(c), G) == want
+
+
 def test_weak_nf_rejects_mixed_order():
     o = weighted((1, -1), lex())
     G = PolySet([P("x", XY)], o)

@@ -6,12 +6,13 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from localstd import (Monomial, NonIsolatedError, OrderClassError, VarCtx,
-                      grevlex, is_zero_dimensional,
+from localstd import (Monomial, NonIsolatedError, OrderClassError,
+                      StepBudgetExceeded, VarCtx, grevlex, is_zero_dimensional,
                       jacobian_ideal, leading_coefficients, lex, milnor_fused,
                       milnor_global, milnor_local, neg_grevlex, neg_lex,
-                      parse_poly, quotient_basis, tyurina_fused,
-                      tyurina_global, tyurina_ideal, tyurina_local)
+                      parse_poly, quotient_basis, special_adjacency_family,
+                      tyurina_fused, tyurina_global, tyurina_ideal,
+                      tyurina_local)
 
 
 def P(src, variables="x,y", params=""):
@@ -126,6 +127,19 @@ def test_tyurina_local_stops_once_a_unit_enters_the_basis():
           " - 5*x^2*y + 5*x*y^2 - 4*y")
     r = tyurina_local(f, step_budget=100)
     assert r.dimension == 0 and r.leading_monomials == (Monomial((0, 0)),)
+
+
+@pytest.mark.parametrize("pipeline, kind, steps", [
+    (tyurina_local, "a7-from-e8", 251),
+    (milnor_local, "a6-from-e7", 22),
+])
+def test_parametric_runs_take_the_same_steps(pipeline, kind, steps):
+    # content removal at storage points only must not change the step
+    # sequence: these are the smallest budgets that pass
+    f = special_adjacency_family(kind)
+    with pytest.raises(StepBudgetExceeded):
+        pipeline(f, step_budget=steps - 1)
+    pipeline(f, step_budget=steps)
 
 
 def test_tyurina_local_weighted_suspension():
