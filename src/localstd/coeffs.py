@@ -39,9 +39,10 @@ is a sum of at most n = min(len f, len g) products a*b, so with B =
 bits(max|a|) + bits(max|b|) + bits(n) + 1 it lies below 2^(B-1) in absolute
 value and no digit overflows.
 
-When both denominators of a field operation are integers, the result's only
-possible common factor is an integer, so it is cancelled with the integer
-gcd of the numerator's coefficients; no polynomial gcd runs.
+Every field operation puts its result in canonical form with
+``ring_primitive`` on the pair (numerator, denominator), the sign fixed on
+the denominator.  An integer denominator is a term, so the term rule reduces
+the pair by the integer gcd of all its coefficients; no polynomial gcd runs.
 """
 
 from __future__ import annotations
@@ -94,16 +95,6 @@ class _ZPoly(dict):
         p = _ZPoly(self)
         for m, a in other.items():
             a += p.get(m, 0)
-            if a:
-                p[m] = a
-            else:
-                del p[m]
-        return p
-
-    def __sub__(self, other):
-        p = _ZPoly(self)
-        for m, a in other.items():
-            a = p.get(m, 0) - a
             if a:
                 p[m] = a
             else:
@@ -310,10 +301,6 @@ class _Frac:
             return other
         return self.numer == other.numer and self.denom == other.denom
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
-
     def __hash__(self):
         return hash((self.numer, self.denom))
 
@@ -334,10 +321,6 @@ class _Frac:
         a, b, c, d = self.numer, self.denom, other.numer, other.denom
         if b == d:
             return _Frac(a + c, b, field) if b == 1 else field._frac(a + c, b)
-        if b.is_ground and d.is_ground:
-            b, d = b.LC, d.LC
-            den = lcm(b, d)
-            return field._frac(a * (den // b) + c * (den // d), _ZPoly({field._unit: den}))
         return field._frac(a * d + c * b, b * d)
 
     __radd__ = __add__
@@ -367,10 +350,7 @@ class _Frac:
             return other
         if not other:
             raise ZeroDivisionError("division by zero in %r" % self.field)
-        num, den = other.denom, other.numer
-        if den.LC < 0:
-            num, den = -num, -den
-        return self * _Frac(num, den, self.field)
+        return self * _Frac(other.denom, other.numer, self.field)
 
     def __rtruediv__(self, other):
         return self.field.one / self * other
@@ -443,22 +423,8 @@ class CoeffField:
 
     def _frac(self, num: _ZPoly, den: _ZPoly) -> _Frac:
         """num/den in canonical form: divided by their gcd, sign fixed on the
-        denominator.  An integer denominator needs only the integer gcd."""
-        if not num:
-            return self.zero
-        if den.is_ground:
-            (u, d), = den.items()
-            g = gcd(d, *num.values())
-            if d < 0:
-                g = -g
-            if g != 1:
-                num, den = num // g, _ZPoly({u: d // g})
-            return _Frac(num, den, self)
-        g = self.ring_gcd([num, den])
-        if den.LC < 0:
-            g = -g
-        if g != 1:
-            num, den = num // g, den // g
+        denominator (``ring_primitive``)."""
+        num, den = self.ring_primitive(den, [num, den]) or (num, den)
         return _Frac(num, den, self)
 
     # -- predicates -----------------------------------------------------
@@ -601,10 +567,8 @@ class CoeffField:
         """Embed into a field with a superset of parameters."""
         if not self.params:
             return target.from_fraction(c)
-        num, den = target._embed(c.numer, self.params), target._embed(c.denom, self.params)
-        if den.LC < 0:
-            num, den = -num, -den
-        return _Frac(num, den, target)
+        return target._frac(target._embed(c.numer, self.params),
+                            target._embed(c.denom, self.params))
 
     def _embed(self, p, names, scale=1) -> _ZPoly:
         """The ring element with p's exponent of names[i] at that name's

@@ -1,13 +1,15 @@
 """Completion engines: Buchberger for global orders, Mora for local orders.
 
-Both engines work fraction-free: S-polynomials cross-multiply leading
-coefficients instead of dividing.  Content (the gcd of the coefficients) is
-removed where a polynomial is kept: when it enters the basis or the Mora
-pool, and when ``s_polynomial`` or ``weak_normal_form`` returns it.  Between
-those points a reduction chain runs on a unit multiple of the primitive
-polynomial, so one gcd serves a whole chain.  Over parametric coefficient
-fields this both bounds growth and keeps leading coefficients meaningful for
-the stratification workflow.
+Both engines work fraction-free: ``_spoly`` cross-multiplies leading
+coefficients instead of dividing, for pairs and for every reduction step of
+``_divide`` and ``_weak_nf`` (there the divisor's leading monomial divides
+h's, so only h is scaled), and nothing else does.  Content (the gcd of the
+coefficients) is removed where a polynomial is kept: when it enters the
+basis or the Mora pool, and when ``s_polynomial`` or ``weak_normal_form``
+returns it.  Between those points a reduction chain runs on a unit multiple
+of the primitive polynomial, so one gcd serves a whole chain.  Over
+parametric coefficient fields this both bounds growth and keeps leading
+coefficients meaningful for the stratification workflow.
 
 Inside the engines coefficients live in the ring beneath the field (ints, or
 Z[params]; see ``coeffs``): denominators are cleared once on the way in and
@@ -105,8 +107,8 @@ class _Budget:
         self.left = DEFAULT_STEP_BUDGET if steps is None else steps
         self.corner: Optional[int] = None
 
-    def tick(self, n: int = 1):
-        self.left -= n
+    def tick(self):
+        self.left -= 1
         if self.left < 0:
             raise StepBudgetExceeded("reduction step budget exceeded")
 
@@ -153,11 +155,11 @@ def s_polynomial(f: Poly, g: Poly, order: MonomialOrder) -> Poly:
 def _spoly(f: Poly, g: Poly, order: MonomialOrder,
            corner: Optional[int] = None) -> Poly:
     """s_polynomial on ring coefficients, truncated below the corner, with
-    its content left in."""
+    its content left in; f is not multiplied when its cofactor is 1."""
     cf, mf = f.leading_term(order)
     cg, mg = g.leading_term(order)
     l = mf.lcm(mg)
-    a = f.mul_term(cg, l.quo(mf))
+    a = f if cg == 1 and l == mf else f.mul_term(cg, l.quo(mf))
     b = g.mul_term(cf, l.quo(mg))
     return _truncate(a - b, corner)
 
@@ -200,28 +202,26 @@ def normal_form(f: Poly, G: PolySet, step_budget: Optional[int] = None) -> Poly:
 def _divide(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget):
     """(r, u) with u the product of the leading coefficients divided by and
     u*f - r in the ideal of gens; no monomial of r is divisible by a leading
-    monomial of gens."""
+    monomial of gens.  Each step is an S-polynomial of h and a divisor."""
     lts = [g.leading_term(order) for g in gens]
     h = f
-    r = f.ctx.zero()
+    r = {}
     u = 1
     while h:
         budget.tick()
-        ch, mh = h.leading_term(order)
-        hit = None
+        mh = h.leading_monomial(order)
         for (cg, mg), g in zip(lts, gens):
             if mg.divides(mh):
-                hit = (cg, mg, g)
                 break
-        if hit is None:
-            r = r + Poly(h.ctx, {mh: ch})
-            h = h - Poly(h.ctx, {mh: ch})
+        else:
+            rest = dict(h.items())
+            r[mh] = rest.pop(mh)
+            h = Poly(h.ctx, rest)
             continue
-        cg, mg, g = hit
         if cg != 1:
-            h, r, u = h.scale(cg), r.scale(cg), u * cg
-        h = h - g.mul_term(ch, mh.quo(mg))
-    return r, u
+            r, u = {m: c * cg for m, c in r.items()}, u * cg
+        h = _spoly(h, g, order)
+    return Poly(f.ctx, r), u
 
 
 def _reduce_full(f: Poly, gens: list[Poly], order: MonomialOrder, budget: _Budget) -> Poly:

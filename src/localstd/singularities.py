@@ -308,6 +308,7 @@ def build_versal_family(f: Poly, order: Optional[MonomialOrder] = None,
 # ---------------------------------------------------------------------------
 
 _YZ = VarCtx(("Y", "Z"))
+_WITNESS_RETRIES = 20
 
 
 @dataclass(frozen=True)
@@ -759,11 +760,10 @@ def _eval_param_expr(src: str, values: dict) -> Fraction:
     return _YZ.field.as_fraction(p.constant_coeff()) if p else Fraction(0)
 
 
-def sample_witness(stratum: Stratum, rng: random.Random,
-                   max_den: int = 7, retries: int = 20) -> dict:
-    """Small random rationals for the witness parameters, retried until no
-    side condition vanishes."""
-    for _ in range(retries):
+def sample_witness(stratum: Stratum, rng: random.Random, max_den: int = 7) -> dict:
+    """Small random rationals for the witness parameters, retried (up to
+    _WITNESS_RETRIES times) until no side condition vanishes."""
+    for _ in range(_WITNESS_RETRIES):
         values = {}
         for name in stratum.witness_params:
             num = rng.randint(1, 3) * rng.choice((1, -1))

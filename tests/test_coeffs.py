@@ -207,27 +207,29 @@ def sympy_to_str(c, names) -> str:
     return "(%s)/(%s)" % (poly_str(c.numer, 1), poly_str(c.denom, 1))
 
 
-def both_fractions(data, names):
-    """A random element of Q(names), built from the same terms in the own
-    field and in sympy's FracField: a polynomial with rational coefficients
-    over a polynomial or an integer."""
+def both_polynomials(data, names, min_size=0, max_size=3):
+    """A random polynomial with rational coefficients in Q(names), built from
+    the same terms in the own field and in sympy's FracField."""
     ours, theirs = CoeffField(names), sympy_field(",".join(names), QQ)[0]
-    gens = [ours.param(x) for x in names]
-
-    def build(terms):
-        mine, ref = ours.zero, theirs.zero
-        for exps, q in terms.items():
-            mono, ref_mono = ours.from_fraction(q), theirs(QQ(q.numerator, q.denominator))
-            for g, x, e in zip(gens, theirs.gens, exps):
-                mono, ref_mono = mono * g ** e, ref_mono * x ** e
-            mine, ref = mine + mono, ref + ref_mono
-        return mine, ref
-
     coef = st.fractions(min_value=-5, max_value=5, max_denominator=6).filter(bool)
     exps = st.tuples(*[st.integers(0, 2)] * len(names))
-    num = build(data.draw(st.dictionaries(exps, coef, max_size=3)))
-    den = build(data.draw(st.dictionaries(exps, coef, min_size=1, max_size=2)))
-    return num[0] / den[0], num[1] / den[1]
+    mine, ref = ours.zero, theirs.zero
+    for m, q in data.draw(st.dictionaries(exps, coef, min_size=min_size,
+                                          max_size=max_size)).items():
+        mono, ref_mono = ours.from_fraction(q), theirs(QQ(q.numerator, q.denominator))
+        for x, ref_x, e in zip(names, theirs.gens, m):
+            mono, ref_mono = mono * ours.param(x) ** e, ref_mono * ref_x ** e
+        mine, ref = mine + mono, ref + ref_mono
+    return mine, ref
+
+
+def both_fractions(data, names):
+    """A random element of Q(names), in the own field and in sympy's
+    FracField: a polynomial with rational coefficients over a polynomial or
+    an integer."""
+    num, num_ref = both_polynomials(data, names)
+    den, den_ref = both_polynomials(data, names, min_size=1, max_size=2)
+    return num / den, num_ref / den_ref
 
 
 def same_element(mine, ref, field) -> bool:
@@ -251,6 +253,33 @@ def test_field_arithmetic_equals_sympy(data):
               "/": operator.truediv}[op]
         mine, ref = fn(mine, other), fn(ref, other_ref)
         assert same_element(mine, ref, QST)
+
+
+def over_an_integer(data, names):
+    """A random element of Q(names) with an integer denominator, in the own
+    field and in sympy's FracField: a polynomial with rational coefficients
+    over a nonzero integer."""
+    num, ref = both_polynomials(data, names)
+    d = data.draw(st.integers(-12, 12).filter(bool))
+    return num / d, ref / d
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_field_arithmetic_over_integer_denominators_equals_sympy(data):
+    # Operands whose denominators are nonzero integers, of either sign before
+    # canonical form: + - * keep the denominator an integer along a chain,
+    # and / by each operand is compared on the side; every result has the
+    # numerator, denominator and printed form of sympy's FracField.
+    mine, ref = over_an_integer(data, QST.params)
+    assert same_element(mine, ref, QST)
+    for _ in range(data.draw(st.integers(1, 4))):
+        other, other_ref = over_an_integer(data, QST.params)
+        if other:
+            assert same_element(mine / other, ref / other_ref, QST)
+        op = data.draw(st.sampled_from([operator.add, operator.sub, operator.mul]))
+        mine, ref = op(mine, other), op(ref, other_ref)
+        assert mine.denom.is_ground and same_element(mine, ref, QST)
 
 
 @settings(max_examples=150, deadline=None)

@@ -10,7 +10,9 @@ run lasts ``run_seconds`` of BENCHMARK.json and covers its workloads; ten
 pairs is the fewest on which a claimed gain can win nine.  The output file
 holds, per workload, the median and quartiles of every end-to-end metric
 named in BENCHMARK.json for each version, how many pairs the change won on
-each, and the failed share of operations.
+each, and the failed share of operations.  Its meta block also holds the
+line count of the Python sources under ``src/`` in both versions, so the
+lines a change removes are read from the same file as its timings.
 """
 
 from __future__ import annotations
@@ -50,6 +52,11 @@ def export(rev: str, dest: Path):
                          capture_output=True).stdout
     with tarfile.open(fileobj=io.BytesIO(tar)) as fh:
         fh.extractall(dest)
+
+
+def src_lines(checkout: Path) -> int:
+    """Lines of the Python files under src/, as ``wc -l`` counts them."""
+    return sum(p.read_bytes().count(b"\n") for p in (checkout / "src").rglob("*.py"))
 
 
 def run_once(checkout: Path, command, workload: str, seed: int, seconds: float) -> dict:
@@ -98,6 +105,7 @@ def main(argv=None) -> int:
     with tempfile.TemporaryDirectory(prefix="bench-parent-") as tmp:
         parent = Path(tmp)
         export(parent_rev, parent)
+        lines = {"parent": src_lines(parent), "change": src_lines(ROOT)}
         result = {}
         for workload in workloads:
             runs = []
@@ -116,7 +124,7 @@ def main(argv=None) -> int:
             result[workload] = summarize(runs, bench["end_to_end"])
     meta = {"parent": parent_rev, "change": git("rev-parse", "HEAD"),
             "change_dirty": bool(git("status", "--porcelain", "--untracked-files=no")),
-            "seeds": seeds, "pairs_per_seed": PAIRS, "run_seconds": seconds,
+            "src_lines": lines, "seeds": seeds, "pairs_per_seed": PAIRS, "run_seconds": seconds,
             "date": time.strftime("%Y-%m-%d", time.gmtime()),
             "machine": {"python": platform.python_version(), "cpus": os.cpu_count(),
                         "processor": platform.machine()},
