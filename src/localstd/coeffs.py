@@ -429,9 +429,6 @@ class CoeffField:
 
     # -- predicates -----------------------------------------------------
 
-    def is_zero(self, c) -> bool:
-        return not c
-
     def is_constant(self, c) -> bool:
         """True when c is a plain rational (degree 0 in every parameter)."""
         if not self.params:
@@ -505,12 +502,7 @@ class CoeffField:
         is a term); otherwise the heuristic gcd is folded over coeffs, and
         the term rule takes over once the running gcd is a term."""
         if not self.params:
-            g = 0
-            for c in coeffs:
-                g = gcd(g, c)
-                if g == 1:
-                    break
-            return g
+            return gcd(*coeffs)
         coeffs = [c for c in coeffs if c]
         if any(len(c) == 1 for c in coeffs):
             return _term_gcd(coeffs)

@@ -122,7 +122,7 @@ class VarCtx:
 
     def constant(self, q) -> "Poly":
         c = self.field.from_fraction(q)
-        if self.field.is_zero(c):
+        if not c:
             return self.zero()
         return Poly(self, {Monomial.unit(self.arity): c})
 

@@ -6,9 +6,11 @@ stratification catalogs with verifiable witnesses, and the special
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cache, cached_property
 from typing import Optional
 
 from .invariants import milnor_local, tyurina_local
@@ -265,6 +267,9 @@ def classify_simple(f: Poly, mu: Optional[int] = None) -> Optional[SingularityCl
 # versal deformation
 # ---------------------------------------------------------------------------
 
+_VERSAL_PREFIX = "lam"
+
+
 @dataclass(frozen=True)
 class DeformationFamily:
     base: Poly
@@ -277,8 +282,7 @@ class DeformationFamily:
         return len(self.monomials)
 
 
-def build_versal_family(f: Poly, order: Optional[MonomialOrder] = None,
-                        prefix: str = "lam") -> DeformationFamily:
+def build_versal_family(f: Poly, order: Optional[MonomialOrder] = None) -> DeformationFamily:
     """Deform by the Tyurina quotient basis, one fresh parameter each.
 
     Parameters pair with the quotient monomials in ascending degree order,
@@ -290,7 +294,7 @@ def build_versal_family(f: Poly, order: Optional[MonomialOrder] = None,
     taken = set(f.ctx.variables) | set(f.ctx.parameters)
     names = []
     for i in range(len(monoms)):
-        name = "%s%d" % (prefix, i)
+        name = "%s%d" % (_VERSAL_PREFIX, i)
         while name in taken:
             name = name + "_"
         taken.add(name)
@@ -317,9 +321,10 @@ class Stratum:
 
     equations cut the stratum out of the deformation-coefficient space;
     family_src is a rational 1-or-more parameter witness family whose generic
-    member realizes the expected type; v_point maps deformation coefficients
-    to expressions in the witness parameters (absent when only a complex
-    branch parameterizes the stratum, see notes).
+    member realizes the expected type.  generic is the catalog's generic
+    stratum L, whose witness family is the versal unfolding itself and whose
+    witness parameters are the deformation coefficients; v_point reads the
+    coefficients off family_src against it (see _coordinates).
     """
 
     name: str
@@ -329,13 +334,24 @@ class Stratum:
     family_src: str
     witness_params: tuple[str, ...]
     side_conditions: tuple[str, ...] = ()
-    v_point: tuple[tuple[str, str], ...] = ()
+    generic: Optional[Stratum] = dataclasses.field(default=None, repr=False,
+                                                   compare=False)
     notes: str = ""
     flagged_variants: tuple[str, ...] = ()
 
     def family(self, witness: dict) -> Poly:
         """The witness family at a rational point of its parameters, over Q."""
         return parse_poly(self.family_src, _YZ, witness)
+
+    @cached_property
+    def v_point(self) -> tuple[tuple[str, str], ...]:
+        """Each deformation coefficient as an expression in the witness
+        parameters; empty when the witness family is off the unfolding (the
+        D6 stratum W2^5, whose rational avatar has base -Z^5, see notes) or
+        no generic stratum is linked."""
+        fam = parse_poly(self.family_src, VarCtx(_YZ.variables, self.witness_params))
+        coords = _coordinates(fam, self.generic) or {}
+        return tuple((v, fam.ctx.field.to_str(c)) for v, c in coords.items())
 
     def to_json_dict(self) -> dict:
         d = {
@@ -386,19 +402,16 @@ def _an_catalog(n: int) -> list[Stratum]:
         src = "Y^2 + Z^%d" % (n + 1) + (" + " + tail if tail else "")
         eqs = tuple("v%d" % k for k in range(2, m + 1))
         side = ("v%d" % (m + 1),) if m < n else ()
-        vpt = tuple(("v%d" % k, "0") for k in range(2, m + 1)) + \
-            tuple(("v%d" % k, "v%d" % k) for k in range(m + 1, n + 1))
         strata.append(Stratum(
             name="L" if m == 1 else "V2^%d" % m,
             expected=SingularityClass("A", m), expected_mu=m,
             equations=eqs, family_src=src, witness_params=params,
-            side_conditions=side, v_point=vpt,
+            side_conditions=side,
         ))
     return strata
 
 
 def _dn_catalog(n: int) -> list[Stratum]:
-    vnames = tuple("v%d" % k for k in range(0, n - 1))
     w2 = "v0^2 - 4*v1*v2"
 
     def tail(lo: int) -> str:
@@ -409,20 +422,15 @@ def _dn_catalog(n: int) -> list[Stratum]:
         Stratum("L", SingularityClass("A", 1), 1, (),
                 base + " + v0*Y*Z + v1*Y^2" + tail(2),
                 tuple("v%d" % k for k in range(0, n - 1)),
-                side_conditions=(w2,),
-                v_point=tuple((v, v) for v in vnames)),
+                side_conditions=(w2,)),
         Stratum("W2", SingularityClass("A", 2), 2, (w2,),
                 base + " + (w1*Y + w2*Z)^2" + tail(3),
                 ("w1", "w2") + tuple("v%d" % k for k in range(3, n - 1)),
-                side_conditions=("w1", "w2") + (("w2^2 + v3*w1^2",) if n >= 5 else ()),
-                v_point=(("v0", "2*w1*w2"), ("v1", "w1^2"), ("v2", "w2^2"))
-                + tuple(("v%d" % k, "v%d" % k) for k in range(3, n - 1))),
+                side_conditions=("w1", "w2") + (("w2^2 + v3*w1^2",) if n >= 5 else ())),
         Stratum("V0&V1", SingularityClass("A", 3), 3, ("v0", "v1"),
                 base + tail(2),
                 tuple("v%d" % k for k in range(2, n - 1)),
-                side_conditions=("v2",),
-                v_point=(("v0", "0"), ("v1", "0"))
-                + tuple(("v%d" % k, "v%d" % k) for k in range(2, n - 1))),
+                side_conditions=("v2",)),
     ]
     if n >= 5:
         strata.append(Stratum(
@@ -431,10 +439,7 @@ def _dn_catalog(n: int) -> list[Stratum]:
             base + " + v1*(Y + s*Z)^2 - s^2*Z^3" + tail(4),
             ("v1", "s") + tuple("v%d" % k for k in range(4, n - 1)),
             side_conditions=("v1", "s",
-                             "v1*v4 - s^2" if n >= 6 else "v1 - s^2"),
-            v_point=(("v0", "2*v1*s"), ("v1", "v1"), ("v2", "v1*s^2"),
-                     ("v3", "-s^2"))
-            + tuple(("v%d" % k, "v%d" % k) for k in range(4, n - 1))))
+                             "v1*v4 - s^2" if n >= 6 else "v1 - s^2")))
     # V chain: D_{k+2} on V0^k
     for k in range(2, n - 1):
         params = tuple("v%d" % j for j in range(k + 1, n - 1))
@@ -442,26 +447,20 @@ def _dn_catalog(n: int) -> list[Stratum]:
         strata.append(Stratum(
             "V0^%d" % k, SingularityClass("D", k + 2), k + 2,
             tuple("v%d" % j for j in range(0, k + 1)),
-            base + tail(k + 1), params, side_conditions=side,
-            v_point=tuple(("v%d" % j, "0") for j in range(0, k + 1))
-            + tuple(("v%d" % j, "v%d" % j) for j in range(k + 1, n - 1))))
+            base + tail(k + 1), params, side_conditions=side))
     if n >= 6:
         strata.append(Stratum(
             "W2^4", SingularityClass("A", 4), 4,
             (w2, "v1*v3 + v2", "v1*v4 + v3"),
             base + " + (w1*Y - w1^2*w4*Z)^2 - w1^2*w4^2*Z^3 + w4^2*Z^4" + tail(5),
             ("w1", "w4") + tuple("v%d" % k for k in range(5, n - 1)),
-            side_conditions=("w1", "w4") + (("w1^2*v5 + w4^2",) if n >= 7 else ()),
-            v_point=(("v0", "-2*w1^3*w4"), ("v1", "w1^2"), ("v2", "w1^4*w4^2"),
-                     ("v3", "-w1^2*w4^2"), ("v4", "w4^2"))
-            + tuple(("v%d" % k, "v%d" % k) for k in range(5, n - 1))))
+            side_conditions=("w1", "w4") + (("w1^2*v5 + w4^2",) if n >= 7 else ())))
     if n == 6:
         strata.append(Stratum(
             "W2^5", SingularityClass("A", 5), 5,
             (w2, "v1*v3 + v2", "v1*v4 + v3", "v1 + v4"),
             "Z*Y^2 - Z^5 - v1*(Y + v1*Z)^2 - v1^2*Z^3 - v1*Z^4",
             ("v1",), side_conditions=("v1",),
-            v_point=(),
             notes=("stratum has no nonzero rational points; witness family is "
                    "the complex-branch parameterization composed with the "
                    "rational linear change (Y,Z)->(iY,-Z)")))
@@ -469,58 +468,41 @@ def _dn_catalog(n: int) -> list[Stratum]:
 
 
 def _e6_catalog() -> list[Stratum]:
-    vnames = ("v0", "v1", "v2", "v3", "v4")
     w2 = "v0^2 - 4*v1*v2"
     w3 = "v1^3*v4^2 - v2*(v1*v3 + v2)^2"
     base = "Y^3 + Z^4"
     return [
         Stratum("L", SingularityClass("A", 1), 1, (),
                 base + " + v0*Y*Z + v1*Y^2 + v2*Z^2 + v3*Y*Z^2 + v4*Z^3",
-                vnames, side_conditions=(w2,),
-                v_point=tuple((v, v) for v in vnames)),
+                ("v0", "v1", "v2", "v3", "v4"), side_conditions=(w2,)),
         Stratum("W2", SingularityClass("A", 2), 2, (w2,),
                 base + " + (w1*Y + w2*Z)^2 + v3*Y*Z^2 + v4*Z^3",
                 ("w1", "w2", "v3", "v4"),
-                side_conditions=("w1", "w2", "w1^3*v4 - w1^2*w2*v3 - w2^3"),
-                v_point=(("v0", "2*w1*w2"), ("v1", "w1^2"), ("v2", "w2^2"),
-                         ("v3", "v3"), ("v4", "v4"))),
+                side_conditions=("w1", "w2", "w1^3*v4 - w1^2*w2*v3 - w2^3")),
         Stratum("W2^3", SingularityClass("A", 3), 3, (w2, w3),
                 base + " + v1*(Y + u*Z)^2 + v3*Y*Z^2 + u*(v3 + u^2)*Z^3",
                 ("v1", "u", "v3"),
-                side_conditions=("v1", "u", "4*v1 - (v3 + 3*u^2)^2"),
-                v_point=(("v0", "2*v1*u"), ("v1", "v1"), ("v2", "v1*u^2"),
-                         ("v3", "v3"), ("v4", "u*(v3 + u^2)"))),
+                side_conditions=("v1", "u", "4*v1 - (v3 + 3*u^2)^2")),
         Stratum("V0^2", SingularityClass("D", 4), 4, ("v0", "v1", "v2"),
                 base + " + v3*Y*Z^2 + v4*Z^3", ("v3", "v4"),
-                side_conditions=("4*v3^3 + 27*v4^2",),
-                v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "v3"), ("v4", "v4"))),
+                side_conditions=("4*v3^3 + 27*v4^2",)),
         Stratum("W2^4", SingularityClass("A", 4), 4,
                 (w2, w3, "4*v1^3 - (v1*v3 + 3*v2)^2"),
                 base + " + 1/4*(3*u^2 + v3)^2*(Y + u*Z)^2 + v3*Y*Z^2 + u*(v3 + u^2)*Z^3",
                 ("u", "v3"),
-                side_conditions=("u", "3*u^2 + v3"),
-                v_point=(("v0", "1/2*(3*u^2 + v3)^2*u"),
-                         ("v1", "1/4*(3*u^2 + v3)^2"),
-                         ("v2", "1/4*(3*u^2 + v3)^2*u^2"),
-                         ("v3", "v3"), ("v4", "u*(v3 + u^2)"))),
+                side_conditions=("u", "3*u^2 + v3")),
         Stratum("V&V0^2", SingularityClass("D", 5), 5,
                 ("v0", "v1", "v2", "4*v3^3 + 27*v4^2"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3", ("a",),
-                side_conditions=("a",),
-                v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "-3*a^2"), ("v4", "-2*a^3"))),
+                side_conditions=("a",)),
         Stratum("W&V0&V2&V4", SingularityClass("A", 5), 5,
                 ("v0", "v2", "v4", "v3^2 - 4*v1"),
                 base + " + 1/4*v3^2*Y^2 + v3*Y*Z^2", ("v3",),
-                side_conditions=("v3",),
-                v_point=(("v0", "0"), ("v1", "1/4*v3^2"), ("v2", "0"),
-                         ("v3", "v3"), ("v4", "0"))),
+                side_conditions=("v3",)),
     ]
 
 
 def _e7_catalog() -> list[Stratum]:
-    vnames = ("v0", "v1", "v2", "v3", "v4", "v5")
     w2 = "v0^2 - 4*v1*v2"
     w3 = "v1^3*v4^2 - v2*(v1*v3 + v2)^2"
     w4 = "16*v1^5*v2 - ((v1*v3 + 3*v2)^2 - 4*v1^3*v5)^2"
@@ -532,79 +514,53 @@ def _e7_catalog() -> list[Stratum]:
     return [
         Stratum("L", SingularityClass("A", 1), 1, (),
                 base + " + v0*Y*Z + v1*Y^2 + v2*Z^2 + v3*Y*Z^2 + v4*Z^3 + v5*Z^4",
-                vnames, side_conditions=(w2,),
-                v_point=tuple((v, v) for v in vnames)),
+                ("v0", "v1", "v2", "v3", "v4", "v5"), side_conditions=(w2,)),
         Stratum("W2", SingularityClass("A", 2), 2, (w2,),
                 base + " + (w1*Y + w2*Z)^2 + v3*Y*Z^2 + v4*Z^3 + v5*Z^4",
                 ("w1", "w2", "v3", "v4", "v5"),
-                side_conditions=("w1", "w2", "w2^2*v3*w1^2 + w2^4 - w2*w1^3*v4"),
-                v_point=(("v0", "2*w1*w2"), ("v1", "w1^2"), ("v2", "w2^2"),
-                         ("v3", "v3"), ("v4", "v4"), ("v5", "v5"))),
+                side_conditions=("w1", "w2", "w2^2*v3*w1^2 + w2^4 - w2*w1^3*v4")),
         Stratum("W2^3", SingularityClass("A", 3), 3, (w2, w3),
                 base + " + v1*(Y + u*Z)^2 + v3*Y*Z^2 + u*(v3 + u^2)*Z^3 + v5*Z^4",
                 ("v1", "u", "v3", "v5"),
-                side_conditions=("v1", "u", "4*v1*(v5 - u) - (v3 + 3*u^2)^2"),
-                v_point=(("v0", "2*v1*u"), ("v1", "v1"), ("v2", "v1*u^2"),
-                         ("v3", "v3"), ("v4", "u*(v3 + u^2)"), ("v5", "v5"))),
+                side_conditions=("v1", "u", "4*v1*(v5 - u) - (v3 + 3*u^2)^2")),
         Stratum("V0^2", SingularityClass("D", 4), 4, ("v0", "v1", "v2"),
                 base + " + v3*Y*Z^2 + v4*Z^3 + v5*Z^4", ("v3", "v4", "v5"),
-                side_conditions=("4*v3^3 + 27*v4^2",),
-                v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "v3"), ("v4", "v4"), ("v5", "v5"))),
+                side_conditions=("4*v3^3 + 27*v4^2",)),
         Stratum("V&V0^2", SingularityClass("D", 5), 5,
                 ("v0", "v1", "v2", "4*v3^3 + 27*v4^2"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3 + v5*Z^4", ("a", "v5"),
-                side_conditions=("a", "a - v5"),
-                v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "-3*a^2"), ("v4", "-2*a^3"), ("v5", "v5"))),
+                side_conditions=("a", "a - v5")),
         Stratum("V0^4", SingularityClass("E", 6), 6,
                 ("v0", "v1", "v2", "v3", "v4"),
-                base + " + v5*Z^4", ("v5",), side_conditions=("v5",),
-                v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "0"), ("v4", "0"), ("v5", "v5"))),
+                base + " + v5*Z^4", ("v5",), side_conditions=("v5",)),
         Stratum("V'&V0^2", SingularityClass("D", 6), 6,
                 ("v0", "v1", "v2", "v3 + 3*v5^2", "v4 + 2*v5^3"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3 + a*Z^4", ("a",),
-                side_conditions=("a",),
-                v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "-3*a^2"), ("v4", "-2*a^3"), ("v5", "a"))),
+                side_conditions=("a",)),
         Stratum("W2~4", SingularityClass("A", 4), 4, (w2, w3, w4),
                 base + " + (w1*Y + u*w1*Z)^2 + (2*t*w1 - 3*u^2)*Y*Z^2"
                 " + u*(2*t*w1 - 2*u^2)*Z^3 + (t^2 + u)*Z^4",
                 ("w1", "u", "t"),
                 side_conditions=("w1", "u", "t", "w1 + 3*u*t"),
-                v_point=(("v0", "2*u*w1^2"), ("v1", "w1^2"), ("v2", "u^2*w1^2"),
-                         ("v3", "2*t*w1 - 3*u^2"),
-                         ("v4", "u*(2*t*w1 - 2*u^2)"), ("v5", "t^2 + u")),
                 flagged_variants=(w4_flagged,),
                 notes="fourth equation uses v1*v3, the printed v1*v2 variant "
                       "fails the stratum's own parameterization"),
         Stratum("W2~5", SingularityClass("A", 5), 5, (w2, w3, w4, w5),
                 base + " + (w1*Y + u*w1*Z)^2 - 3*u^2*Y*Z^2 - 2*u^3*Z^3 + u*Z^4",
-                ("w1", "u"), side_conditions=("w1", "u"),
-                v_point=(("v0", "2*u*w1^2"), ("v1", "w1^2"), ("v2", "u^2*w1^2"),
-                         ("v3", "-3*u^2"), ("v4", "-2*u^3"), ("v5", "u"))),
+                ("w1", "u"), side_conditions=("w1", "u")),
         Stratum("W2~5'", SingularityClass("A", 5), 5, (w2, w3, w4, w5p),
                 base + " + (3*t*u*Y + 3*u^2*t*Z)^2 + (-6*t^2*u - 3*u^2)*Y*Z^2"
                 " + u*(-6*t^2*u - 2*u^2)*Z^3 + (t^2 + u)*Z^4",
                 ("u", "t"),
-                side_conditions=("u", "t", "4*t^2 - 3*u"),
-                v_point=(("v0", "18*t^2*u^3"),
-                         ("v1", "9*t^2*u^2"), ("v2", "9*t^2*u^4"),
-                         ("v3", "-6*t^2*u - 3*u^2"),
-                         ("v4", "u*(-6*t^2*u - 2*u^2)"), ("v5", "t^2 + u"))),
+                side_conditions=("u", "t", "4*t^2 - 3*u")),
         Stratum("W2~6", SingularityClass("A", 6), 6, (w2, w3, w4, w5p, w6),
                 base + " + (4*t^3*Y + 16/3*t^5*Z)^2 - 40/3*t^4*Y*Z^2"
                 " - 416/27*t^6*Z^3 + 7/3*t^2*Z^4",
-                ("t",), side_conditions=("t",),
-                v_point=(("v0", "128/3*t^8"), ("v1", "16*t^6"),
-                         ("v2", "256/9*t^10"), ("v3", "-40/3*t^4"),
-                         ("v4", "-416/27*t^6"), ("v5", "7/3*t^2"))),
+                ("t",), side_conditions=("t",)),
     ]
 
 
 def _e8_catalog() -> list[Stratum]:
-    vnames = ("v0", "v1", "v2", "v3", "v4", "v5", "v6")
     w2 = "v0^2 - 4*v1*v2"
     w3 = "v1^3*v4^2 - v2*(v1*v3 + v2)^2"
     w4 = "16*v1^5*v2*v5^2 - ((v1*v3 + 3*v2)^2 - 4*v1^3*v6)^2"
@@ -637,116 +593,100 @@ def _e8_catalog() -> list[Stratum]:
         Stratum("L", SingularityClass("A", 1), 1, (),
                 base + " + v0*Y*Z + v1*Y^2 + v2*Z^2 + v3*Y*Z^2 + v4*Z^3"
                 " + v5*Y*Z^3 + v6*Z^4",
-                vnames, side_conditions=(w2,),
-                v_point=tuple((v, v) for v in vnames)),
+                ("v0", "v1", "v2", "v3", "v4", "v5", "v6"), side_conditions=(w2,)),
         Stratum("W2", SingularityClass("A", 2), 2, (w2,),
                 base + " + (w1*Y + w2*Z)^2 + v3*Y*Z^2 + v4*Z^3 + v5*Y*Z^3 + v6*Z^4",
                 ("w1", "w2", "v3", "v4", "v5", "v6"),
-                side_conditions=("w1", "w2", "w2^3 + w1^2*w2*v3 - w1^3*v4"),
-                v_point=(("v0", "2*w1*w2"), ("v1", "w1^2"), ("v2", "w2^2"),
-                         ("v3", "v3"), ("v4", "v4"), ("v5", "v5"), ("v6", "v6"))),
+                side_conditions=("w1", "w2", "w2^3 + w1^2*w2*v3 - w1^3*v4")),
         Stratum("W2^3", SingularityClass("A", 3), 3, (w2, w3),
                 base + " + (w1*Y + u*w1*Z)^2 + v3*Y*Z^2 + u*(v3 + u^2)*Z^3"
                 " + v5*Y*Z^3 + v6*Z^4",
                 ("w1", "u", "v3", "v5", "v6"),
-                side_conditions=("w1", "u", "4*w1^2*(v6 - u*v5) - (v3 + 3*u^2)^2"),
-                v_point=(("v0", "2*u*w1^2"), ("v1", "w1^2"), ("v2", "u^2*w1^2"),
-                         ("v3", "v3"), ("v4", "u*(v3 + u^2)"),
-                         ("v5", "v5"), ("v6", "v6"))),
+                side_conditions=("w1", "u", "4*w1^2*(v6 - u*v5) - (v3 + 3*u^2)^2")),
         Stratum("V0^2", SingularityClass("D", 4), 4, ("v0", "v1", "v2"),
                 base + " + v3*Y*Z^2 + v4*Z^3 + v5*Y*Z^3 + v6*Z^4",
                 ("v3", "v4", "v5", "v6"),
-                side_conditions=("4*v3^3 + 27*v4^2",),
-                v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"), ("v3", "v3"),
-                         ("v4", "v4"), ("v5", "v5"), ("v6", "v6"))),
+                side_conditions=("4*v3^3 + 27*v4^2",)),
         Stratum("V&V0^2", SingularityClass("D", 5), 5,
                 ("v0", "v1", "v2", "4*v3^3 + 27*v4^2"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3 + v5*Y*Z^3 + v6*Z^4",
                 ("a", "v5", "v6"),
-                side_conditions=("a", "v6 - a*v5"),
-                v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "-3*a^2"), ("v4", "-2*a^3"),
-                         ("v5", "v5"), ("v6", "v6"))),
+                side_conditions=("a", "v6 - a*v5")),
         Stratum("V0^4", SingularityClass("E", 6), 6,
                 ("v0", "v1", "v2", "v3", "v4"),
                 base + " + v5*Y*Z^3 + v6*Z^4", ("v5", "v6"),
-                side_conditions=("v6",),
-                v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"), ("v3", "0"),
-                         ("v4", "0"), ("v5", "v5"), ("v6", "v6"))),
+                side_conditions=("v6",)),
         Stratum("V0^4&V6", SingularityClass("E", 7), 7,
                 ("v0", "v1", "v2", "v3", "v4", "v6"),
-                base + " + v5*Y*Z^3", ("v5",), side_conditions=("v5",),
-                v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"), ("v3", "0"),
-                         ("v4", "0"), ("v5", "v5"), ("v6", "0"))),
+                base + " + v5*Y*Z^3", ("v5",), side_conditions=("v5",)),
         Stratum("V'&V0^2", SingularityClass("D", 6), 6,
                 ("v0", "v1", "v2", "v3*v5^2 + 3*v6^2", "v4*v5^3 + 2*v6^3"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3 + v5*Y*Z^3 + a*v5*Z^4",
                 ("a", "v5"),
-                side_conditions=("a", "v5", "12*a + v5^2"),
-                v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "-3*a^2"), ("v4", "-2*a^3"),
-                         ("v5", "v5"), ("v6", "a*v5"))),
+                side_conditions=("a", "v5", "12*a + v5^2")),
         Stratum("V''&V0^2", SingularityClass("D", 7), 7,
                 ("v0", "v1", "v2", "v3*v5^2 + 3*v6^2", "v4*v5^3 + 2*v6^3",
                  "12*v6 + v5^3"),
                 base + " - 1/48*v5^4*Y*Z^2 + 1/864*v5^6*Z^3 + v5*Y*Z^3"
                 " - 1/12*v5^3*Z^4",
-                ("v5",), side_conditions=("v5",),
-                v_point=(("v0", "0"), ("v1", "0"), ("v2", "0"),
-                         ("v3", "-1/48*v5^4"), ("v4", "1/864*v5^6"),
-                         ("v5", "v5"), ("v6", "-1/12*v5^3"))),
+                ("v5",), side_conditions=("v5",)),
         Stratum("W2~4", SingularityClass("A", 4), 4, (w2, w3, w4),
                 base + " + (w1*Y + u*w1*Z)^2 + (2*t*w1 - 3*u^2)*Y*Z^2"
                 " + u*(2*t*w1 - 2*u^2)*Z^3 + v5*Y*Z^3 + (t^2 + u*v5)*Z^4",
                 ("w1", "u", "t", "v5"),
-                side_conditions=("w1", "u", "t", "w1^2 - t*w1*v5 - 3*u*t^2"),
-                v_point=(("v0", "2*u*w1^2"), ("v1", "w1^2"), ("v2", "u^2*w1^2"),
-                         ("v3", "2*t*w1 - 3*u^2"),
-                         ("v4", "u*(2*t*w1 - 2*u^2)"),
-                         ("v5", "v5"), ("v6", "t^2 + u*v5"))),
+                side_conditions=("w1", "u", "t", "w1^2 - t*w1*v5 - 3*u*t^2")),
         Stratum("W2~5", SingularityClass("A", 5), 5, (w2, w3, w4, w5),
                 a5_family, ("t", "b", "v5"),
                 side_conditions=("t", "v5 - b", "v5 + b",
-                                 "b^3 - b^2*v5 - 8*t^2"),
-                v_point=(("v0", "2*%s*%s^2" % (u_expr, w1_expr)),
-                         ("v1", "%s^2" % w1_expr),
-                         ("v2", "%s^2*%s^2" % (u_expr, w1_expr)),
-                         ("v3", "t^2*(v5 - b) - 3*%s^2" % u_expr),
-                         ("v4", "%s*(t^2*(v5 - b) - 2*%s^2)" % (u_expr, u_expr)),
-                         ("v5", "v5"), ("v6", "t^2 + %s*v5" % u_expr))),
+                                 "b^3 - b^2*v5 - 8*t^2")),
         Stratum("W2~6", SingularityClass("A", 6), 6, (w2, w3, w4, w5, w6),
                 a6_family, ("b", "c"),
                 side_conditions=("b", "c", "b + 8*c^2", "b + 16*c^2",
-                                 "b - 4*c^2"),
-                v_point=(("v0", "2*%s*%s^2" % (u6, w16)),
-                         ("v1", "%s^2" % w16),
-                         ("v2", "%s^2*%s^2" % (u6, w16)),
-                         ("v3", "2*c*b*%s - 3*%s^2" % (w16, u6)),
-                         ("v4", "%s*(2*c*b*%s - 2*%s^2)" % (u6, w16, u6)),
-                         ("v5", "b - 8*c^2"),
-                         ("v6", "c^2*b^2 + %s*(b - 8*c^2)" % u6))),
+                                 "b - 4*c^2")),
         Stratum("W2~7", SingularityClass("A", 7), 7, (w2, w3, w4, w5, w6, w7),
                 base + " + (32*c^5*Y - 512*c^9*Z)^2 - 1280*c^8*Y*Z^2"
                 " + 16384*c^12*Z^3 - 16*c^2*Y*Z^3 + 320*c^6*Z^4",
-                ("c",), side_conditions=("c",),
-                v_point=(("v0", "-32768*c^14"), ("v1", "1024*c^10"),
-                         ("v2", "262144*c^18"), ("v3", "-1280*c^8"),
-                         ("v4", "16384*c^12"), ("v5", "-16*c^2"),
-                         ("v6", "320*c^6"))),
+                ("c",), side_conditions=("c",)),
     ]
 
 
 def stratum_catalog(cls: SingularityClass) -> list[Stratum]:
-    """Stratification equations with witness parameterizations, per family."""
+    """Stratification equations with witness parameterizations, per family;
+    every stratum links to the generic stratum L, the first one."""
     if cls.family == "A":
-        return _an_catalog(cls.index)
-    if cls.family == "D":
-        return _dn_catalog(cls.index)
-    if cls.index == 6:
-        return _e6_catalog()
-    if cls.index == 7:
-        return _e7_catalog()
-    return _e8_catalog()
+        catalog = _an_catalog(cls.index)
+    elif cls.family == "D":
+        catalog = _dn_catalog(cls.index)
+    else:
+        catalog = {6: _e6_catalog, 7: _e7_catalog, 8: _e8_catalog}[cls.index]()
+    return [dataclasses.replace(s, generic=catalog[0]) for s in catalog]
+
+
+@cache
+def _unfolding(src: str, params: tuple[str, ...]):
+    """The versal unfolding a generic stratum's witness family writes, read
+    over Q: the family at all parameters 0 (the base) and, in order, each
+    coordinate v_i with the one monomial it multiplies."""
+    zero = dict.fromkeys(params, 0)
+    base = parse_poly(src, _YZ, zero)
+    coords = []
+    for v in params:
+        (m, _), = (parse_poly(src, _YZ, zero | {v: 1}) - base).items()
+        coords.append((v, m))
+    return dict(base.items()), tuple(coords)
+
+
+def _coordinates(p: Poly, generic: Optional[Stratum]) -> Optional[dict]:
+    """The coefficient of p at each coordinate's monomial of the unfolding
+    that generic writes, by coordinate name; None without generic or when
+    the rest of p is not the base."""
+    if generic is None:
+        return None
+    base, coords = _unfolding(generic.family_src, generic.witness_params)
+    monomials = {m for _, m in coords}
+    if {m: c for m, c in p.items() if m not in monomials} != base:
+        return None
+    return {v: p.coeff(m) for v, m in coords}
 
 
 # ---------------------------------------------------------------------------
@@ -778,8 +718,9 @@ def sample_witness(stratum: Stratum, rng: random.Random, max_den: int = 7) -> di
 def verify_stratum(cls: SingularityClass, stratum: Stratum,
                    witness: dict) -> StratumVerification:
     """Parse the witness family at the witness, compute (mu, tau, corank, class)
-    and compare with the stratum's expectation.  When the stratum carries a
-    rational coefficient map, also check its defining equations vanish."""
+    and compare with the stratum's expectation.  When the family lies on the
+    versal unfolding with at least one coordinate, also check that the
+    stratum's equations vanish at the coordinates read off it."""
     witness = {k: Fraction(v) for k, v in witness.items()}
     missing = set(stratum.witness_params) - set(witness)
     if missing:
@@ -795,17 +736,15 @@ def verify_stratum(cls: SingularityClass, stratum: Stratum,
     tau = tyurina_local(f).dimension
     crk = hessian_corank(f)
     got = classify_simple(f, mu=mu)
-    equations_checked = False
-    if stratum.v_point:
-        vvals = {v: _eval_param_expr(src, witness) for v, src in stratum.v_point}
+    coords = _coordinates(f, stratum.generic)
+    if coords:
         for eq in stratum.equations:
-            if _eval_param_expr(eq, vvals) != 0:
+            if _eval_param_expr(eq, coords) != 0:
                 raise AssertionError("witness does not satisfy stratum equation %r" % eq)
-        equations_checked = True
     ok = (mu == stratum.expected_mu and got == stratum.expected)
     return StratumVerification(stratum=stratum, witness=witness, mu=mu,
                                tau=tau, corank=crk, classified=got,
-                               equations_checked=equations_checked, ok=ok)
+                               equations_checked=bool(coords), ok=ok)
 
 
 # ---------------------------------------------------------------------------

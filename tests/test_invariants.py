@@ -300,7 +300,7 @@ def test_fused_local_part_lists_the_tyurina_jump_at_t_minus_one_half():
     assert local.dimension == 4
     assert tyurina_local(f.specialize_params(t0)).dimension == 12
     field, plain = f.ctx.field, f.ctx.without_params(["t"]).field
-    assert any(plain.is_zero(field.specialize(a, t0, plain))
+    assert any(not field.specialize(a, t0, plain)
                for a in local.genericity_assumptions)
 
 

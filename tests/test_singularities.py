@@ -1,6 +1,7 @@
 """A/D/E toolkit: normal forms, weights, corank, classification, versal
 families, stratification catalogs, adjacency families."""
 
+import dataclasses
 import random
 from fractions import Fraction
 
@@ -364,6 +365,67 @@ def test_d6_a5_stratum_uses_rational_avatar():
     rec = verify_stratum(C("D6"), s, {"v1": Fraction(1, 2)})
     assert rec.ok and rec.mu == 5 and rec.classified == C("A5")
     assert not rec.equations_checked  # no rational point on the stratum
+
+
+_CATALOG_CLASSES = (["A%d" % n for n in range(1, 9)] + ["D%d" % n for n in range(4, 10)]
+                    + ["E6", "E7", "E8"])
+
+
+def _at_v_point(eq: str, s):
+    """eq at the stratum's v_point, in Q(witness params).  The coordinates
+    are the variables of their own context, since witness parameters reuse
+    coordinate names (E6 W2 has v3)."""
+    ctx = VarCtx(("Y", "Z"), s.witness_params)
+    field = ctx.field
+    point = [parse_poly(src, ctx).constant_coeff() for _, src in s.v_point]
+    value = field.zero
+    for m, c in parse_poly(eq, VarCtx([v for v, _ in s.v_point])).items():
+        term = field.from_fraction(c)
+        for x, e in zip(point, m):
+            term = term * x ** e
+        value = value + term
+    return value
+
+
+def test_equations_vanish_on_whole_witness_families():
+    for name in _CATALOG_CLASSES:
+        for s in stratum_catalog(C(name)):
+            if s.v_point:
+                for eq in s.equations:
+                    assert not _at_v_point(eq, s), (name, s.name, eq)
+                for eq in s.flagged_variants:
+                    assert _at_v_point(eq, s), (name, s.name, eq)
+
+
+def test_v_point_is_empty_only_off_the_unfolding():
+    empty = [(name, s.name) for name in _CATALOG_CLASSES
+             for s in stratum_catalog(C(name)) if not s.v_point]
+    # A1 has no deformation coefficient; D6 W2^5 has base -Z^5
+    assert empty == [("A1", "L"), ("D6", "W2^5")]
+
+
+def test_family_off_the_unfolding_gets_no_coefficients():
+    cat = {s.name: s for s in stratum_catalog(C("E6"))}
+    off = dataclasses.replace(cat["V0^2"], family_src="Y^3 + 2*Z^4 + v3*Y*Z^2 + v4*Z^3")
+    assert off.v_point == ()
+    rec = verify_stratum(C("E6"), off, {"v3": Fraction(1), "v4": Fraction(1)})
+    assert rec.ok and not rec.equations_checked
+    unlinked = dataclasses.replace(cat["V0^2"], generic=None)
+    assert unlinked.v_point == ()
+
+
+def test_v_point_examples():
+    e6 = {s.name: s for s in stratum_catalog(C("E6"))}
+    ctx = VarCtx(("Y", "Z"), ("u", "v3"))
+    written = {"v0": "1/2*(3*u^2 + v3)^2*u", "v1": "1/4*(3*u^2 + v3)^2",
+               "v2": "1/4*(3*u^2 + v3)^2*u^2", "v3": "v3", "v4": "u*(v3 + u^2)"}
+    assert {v: parse_poly(src, ctx) for v, src in e6["W2^4"].v_point} == \
+        {v: parse_poly(src, ctx) for v, src in written.items()}
+    e8 = {s.name: s for s in stratum_catalog(C("E8"))}
+    assert e8["W2~7"].v_point == (
+        ("v0", "-32768*c^14"), ("v1", "1024*c^10"), ("v2", "262144*c^18"),
+        ("v3", "-1280*c^8"), ("v4", "16384*c^12"), ("v5", "-16*c^2"),
+        ("v6", "320*c^6"))
 
 
 # ---------------------------------------------------------------------------
