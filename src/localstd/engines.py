@@ -20,7 +20,7 @@ stands in for ``Poly.primitive``.  A field computation would give the same
 intermediate polynomials up to a unit; zero tests, leading monomials and
 ecarts do not see the unit, so both take the same steps.
 
-Mora's algorithm over Q truncates at the highest corner (Greuel-Pfister, *A
+Mora's algorithm truncates at the highest corner (Greuel-Pfister, *A
 Singular Introduction to Commutative Algebra*, 1.7).  Under ``neg_grevlex``
 (any permutation) the leading monomial of a polynomial has its lowest
 degree.  So once the leading monomials of the basis leave finitely many
@@ -34,9 +34,14 @@ touches a leading monomial (one of degree k or more is kept as a basis
 element on its own).  Only the tails of the basis elements change, and by
 terms in m^k.  An element added after the last recomputation, or a seed
 element of a run that reduces no pair, keeps its tail above the final k, so
-the returned tails are not canonical.  Parametric inputs are not truncated:
-the leading coefficients that certify the corner would have to become
-assumptions.  Other local orders are not degree-compatible.
+the returned tails are not canonical.  Over Q(params) the corner rests on
+the leading monomials of the basis, which hold wherever their leading
+coefficients do not vanish; each time k is set, the parametric leading
+coefficients of the basis are recorded as conditions on the run's budget,
+and the pipelines report them as genericity assumptions.  At a point where
+none vanishes, the specialized run sees the same leading monomials and so
+the same corner (as for comprehensive Groebner systems: Weispfenning,
+J. Symb. Comp. 14, 1992).  Other local orders are not degree-compatible.
 """
 
 from __future__ import annotations
@@ -97,15 +102,17 @@ class PolySet:
 
 
 class _Budget:
-    """The state of one engine call: the steps left and, once a Mora
-    completion over Q knows it, the corner degree k with m^k inside the
-    ideal, above which terms are dropped."""
+    """The state of one engine call: the steps left; once a Mora completion
+    knows it, the corner degree k with m^k inside the ideal, above which
+    terms are dropped; and the conditions, the parametric leading
+    coefficients (field elements) that certified each corner."""
 
-    __slots__ = ("left", "corner")
+    __slots__ = ("left", "corner", "conditions")
 
     def __init__(self, steps: Optional[int]):
         self.left = DEFAULT_STEP_BUDGET if steps is None else steps
         self.corner: Optional[int] = None
+        self.conditions: list = []
 
     def tick(self):
         self.left -= 1
@@ -329,16 +336,19 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
     tests, leading monomials, ecarts and truncation do not see a unit, so
     the run takes the same steps and keeps the same elements.
 
-    Under neg_grevlex over Q (a local order, so the reducer is the weak
-    normal form) the run truncates at the highest corner; see the module
-    docstring.  The corner is recomputed only before a pair is reduced, and
-    only after a leading monomial of degree below it has arrived."""
+    Under neg_grevlex (a local order, so the reducer is the weak normal
+    form) the run truncates at the highest corner and records the leading
+    coefficients that certify it on the budget; see the module docstring.
+    The corner is recomputed only before a pair is reduced, and only after a
+    leading monomial of degree below it has arrived."""
     f: list[Poly] = []
     lm: list[Monomial] = []
     G: set[int] = set()
     P: set[tuple[int, int]] = set()
     seed = [_primitive(_to_ring(p)[0], order) for p in seed]
-    truncating = order.kind == "neg_grevlex" and not seed[0].ctx.field.params
+    truncating = order.kind == "neg_grevlex"
+    field = seed[0].ctx.field
+    one = field.to_ring(field.one)
     arity = seed[0].ctx.arity
     stale = False
 
@@ -364,11 +374,16 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
         if k == budget.corner:
             return
         budget.corner = k
+        # the corner holds wherever these leading coefficients do not vanish
+        for i in G:
+            c = field.from_ring(f[i].leading_coefficient(order))
+            if not field.is_constant(c):
+                budget.conditions.append(c)
         for i, p in enumerate(f):
             q = _truncate(p, k)
             if q is not p:
                 # an element inside m^k is kept as its leading monomial
-                f[i] = _primitive(q, order) or Poly(p.ctx, {lm[i]: 1})
+                f[i] = _primitive(q, order) or Poly(p.ctx, {lm[i]: one})
 
     for p in seed:
         if p not in f:
@@ -431,7 +446,13 @@ def standard_basis(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
         raise OrderClassError("standard_basis requires a local order; use buchberger")
     if cls is OrderClass.MIXED:
         raise OrderClassError("standard_basis rejects mixed monomial orders")
-    budget = _Budget(step_budget)
+    return _standard_basis(F, _Budget(step_budget))
+
+
+def _standard_basis(F: PolySet, budget: _Budget) -> PolySet:
+    """standard_basis on the caller's budget, which keeps the corner and its
+    conditions after the run."""
+    order = F.order
     basis = _completion(F.elements, order, _weak_nf, budget)
     basis = _minimalize(basis, order)
     basis = _normalize_output(basis, order)

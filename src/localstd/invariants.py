@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engines import (OrderClassError, PolySet, buchberger, standard_basis)
+from .engines import OrderClassError, PolySet, _Budget, _standard_basis, buchberger
 from .orders import MonomialOrder, OrderClass, grevlex, neg_grevlex
 from .poly import Monomial, Poly
 
@@ -140,11 +140,12 @@ def quotient_basis(leading, arity: int, order: MonomialOrder):
 # pipelines
 # ---------------------------------------------------------------------------
 
-def _collect_assumptions(basis: PolySet):
+def _collect_assumptions(basis: PolySet, conditions):
+    """Canonical forms of the parametric final leading coefficients and of
+    the conditions recorded by the run, deduplicated and sorted."""
     field = basis.ctx.field
     seen = []
-    for p in basis:
-        lc = p.leading_coefficient(basis.order)
+    for lc in [*(p.leading_coefficient(basis.order) for p in basis), *conditions]:
         if field.is_constant(lc):
             continue
         canon = field.canonical_assumption(lc)
@@ -162,8 +163,11 @@ def _require_class(order: MonomialOrder, arity: int, wanted: OrderClass, what: s
 
 def _run(gens, order, locality, ideal_kind, err_message, step_budget):
     pset = PolySet(gens, order)
+    conditions = ()
     if locality == "local":
-        basis = standard_basis(pset, step_budget=step_budget)
+        budget = _Budget(step_budget)
+        basis = _standard_basis(pset, budget)
+        conditions = budget.conditions
     else:
         basis = buchberger(pset, step_budget=step_budget)
     leading = tuple(basis.leading_monomials())
@@ -179,7 +183,7 @@ def _run(gens, order, locality, ideal_kind, err_message, step_budget):
         order=order,
         ideal_kind=ideal_kind,
         locality=locality,
-        genericity_assumptions=_collect_assumptions(basis),
+        genericity_assumptions=_collect_assumptions(basis, conditions),
     )
 
 

@@ -303,7 +303,8 @@ def test_cli_arithmetic_failure_exit_1(monkeypatch, capsys):
         raise coeffs.HeuristicGCDFailed("no gcd found at 6 evaluation points")
 
     monkeypatch.setattr(coeffs, "_heugcd", fail)
-    rc = main(["tyurina", "--vars", "x,y", "--params", "t", "x^3+y^4+x*y^2+t*x^2"])
+    rc = main(["poly-tyurina", "--vars", "x,y", "--params", "l1,l2,l3",
+               "x^3+y^4+x*y^2+l1*y+l2*x+l3*x^2"])
     assert rc == 1
     assert capsys.readouterr().err == \
         "localstd: error: no gcd found at 6 evaluation points\n"

@@ -397,6 +397,19 @@ def test_equations_vanish_on_whole_witness_families():
                     assert _at_v_point(eq, s), (name, s.name, eq)
 
 
+def test_simple_strata_have_their_mu_and_tau_on_whole_witness_families():
+    # Over Q(witness params).  Simple germs are quasi-homogeneous, so tau = mu.
+    # E8 W2~5 and W2~6 are left out: their runs take seconds (W2~6 reports
+    # a condition of degree 46 in c).
+    for name in ("D6", "E6", "E7", "E8"):
+        for s in stratum_catalog(C(name)):
+            if name == "E8" and s.name in ("W2~5", "W2~6"):
+                continue
+            f = P(s.family_src, "Y,Z", ",".join(s.witness_params))
+            assert milnor_local(f).dimension == s.expected_mu, (name, s.name)
+            assert tyurina_local(f).dimension == s.expected_mu, (name, s.name)
+
+
 def test_v_point_is_empty_only_off_the_unfolding():
     empty = [(name, s.name) for name in _CATALOG_CLASSES
              for s in stratum_catalog(C(name)) if not s.v_point]

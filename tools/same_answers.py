@@ -6,8 +6,10 @@ benchmark workload, compared by ``to_json_dict()`` or by failure kind.
 The parent is exported with ``git archive`` into a temporary directory.  In
 each tree a fresh interpreter builds the operations of every workload named
 in BENCHMARK.json with that tree's ``perfbench/workloads.py`` and runs each
-once, without timing or checks.  Exits 0 when every answer is identical and 1
-naming the first operation that differs.
+once, without timing or checks.  Every operation whose answer differs is
+listed with the keys of its answer that differ (``local_part.basis`` for a
+key inside a fused report), followed by a count per workload and seed.  Exits
+0 when every answer is identical and 1 otherwise.
 """
 
 from __future__ import annotations
@@ -57,11 +59,25 @@ def answers(tree: Path, workload: str, seed: int) -> list:
     return json.loads(proc.stdout)
 
 
+def differing_keys(a: dict, b: dict, prefix: str = "") -> list:
+    """The keys whose values differ between two answers, descending into
+    values that are dicts on both sides."""
+    out = []
+    for k in sorted(a.keys() | b.keys()):
+        x, y = a.get(k), b.get(k)
+        if isinstance(x, dict) and isinstance(y, dict):
+            out += differing_keys(x, y, prefix + k + ".")
+        elif x != y:
+            out.append(prefix + k)
+    return out
+
+
 def main(argv=None) -> int:
     args = parse_args(argv)
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
     seeds = [int(s) for s in args.seeds.split(",")]
     parent_rev = git("rev-parse", args.parent)
+    same = True
     with tempfile.TemporaryDirectory(prefix="answers-parent-") as tmp:
         parent = Path(tmp)
         export(parent_rev, parent)
@@ -73,14 +89,19 @@ def main(argv=None) -> int:
                     print("%s seed %d: %d operations at the parent, %d here"
                           % (w["name"], seed, len(before), len(after)))
                     return 1
+                differ = 0
                 for (name, a), (name_, b) in zip(before, after):
-                    if name != name_ or a != b:
-                        print("%s seed %d: %s differs\n  parent: %s\n  change: %s"
-                              % (w["name"], seed, name, json.dumps(a), json.dumps(b)))
-                        return 1
-                print("%s seed %d: %d operations identical"
-                      % (w["name"], seed, len(after)))
-    return 0
+                    if name != name_:
+                        print("  %s here in place of %s" % (name_, name))
+                    elif a != b:
+                        print("  %s: %s" % (name, ", ".join(differing_keys(a, b))))
+                    else:
+                        continue
+                    differ += 1
+                print("%s seed %d: %d of %d operations differ"
+                      % (w["name"], seed, differ, len(after)))
+                same = same and not differ
+    return 0 if same else 1
 
 
 if __name__ == "__main__":
