@@ -21,7 +21,7 @@ from .engines import (OrderClassError, PolySet, StepBudgetExceeded, buchberger,
 from .invariants import (NonIsolatedError, milnor_fused, milnor_global,
                          milnor_local, tyurina_fused, tyurina_global,
                          tyurina_local)
-from .orders import OrderDefinitionError, grevlex, neg_grevlex, parse_order
+from .orders import DEFAULT_ORDERS, OrderClass, OrderDefinitionError, parse_order
 from .parser import ParseError, parse_poly
 from .poly import VarCtx
 from .singularities import (ADJACENCY_KINDS, SingularityClass,
@@ -80,9 +80,9 @@ def _build_argparser() -> argparse.ArgumentParser:
     for name, help_, func in [
             ("parse", "parse and echo the canonical form", _cmd_parse),
             ("groebner", "Groebner basis of ';'-separated generators",
-             partial(_cmd_basis, False)),
+             partial(_cmd_basis, buchberger, OrderClass.GLOBAL)),
             ("std-basis", "Mora standard basis of ';'-separated generators",
-             partial(_cmd_basis, True)),
+             partial(_cmd_basis, standard_basis, OrderClass.LOCAL)),
             ("milnor", "Milnor number of the origin (local order)",
              partial(_cmd_invariant, milnor_local)),
             ("tyurina", "Tyurina number of the origin (local order)",
@@ -152,10 +152,6 @@ def _orders(args, ctx, want: int):
     return [parse_order(s, ctx.variables) for s in specs]
 
 
-def _frac(text: str) -> Fraction:
-    return Fraction(text.strip())
-
-
 def _emit(args, payload, human: str, invocation=None):
     """Write the JSON document or the human text; invocation defaults to the
     command, the version and the --vars/--params given."""
@@ -191,15 +187,13 @@ def _cmd_parse(args):
     return EXIT_OK
 
 
-def _cmd_basis(local: bool, args):
+def _cmd_basis(engine, wanted, args):
     ctx = _context(args)
     gens = [parse_poly(chunk, ctx)
             for chunk in _load_source(args).split(";") if chunk.strip()]
     orders = _orders(args, ctx, 1)
-    order = orders[0] if orders else (neg_grevlex() if local else grevlex())
-    pset = PolySet(gens, order)
-    basis = standard_basis(pset, step_budget=args.step_budget) if local \
-        else buchberger(pset, step_budget=args.step_budget)
+    order = orders[0] if orders else DEFAULT_ORDERS[wanted]
+    basis = engine(PolySet(gens, order), step_budget=args.step_budget)
     payload = {
         "order": order.spell(ctx.variables),
         "basis": [p.to_str(order) for p in basis],
@@ -309,7 +303,7 @@ def _cmd_verify_stratum(args):
         witness = {}
         for chunk in args.witness.split(","):
             name, _, val = chunk.partition("=")
-            witness[name.strip()] = _frac(val)
+            witness[name.strip()] = Fraction(val)
     else:
         witness = sample_witness(stratum, random.Random(args.seed))
     rec = verify_stratum(cls, stratum, witness)
@@ -331,7 +325,7 @@ def _cmd_adjacency(args):
     if args.t:
         checks = []
         for chunk in args.t.split(","):
-            tv = _frac(chunk)
+            tv = Fraction(chunk)
             f = fam.specialize_params({"t": tv})
             mu = milnor_local(f).dimension
             cls = classify_simple(f, mu=mu)

@@ -160,6 +160,7 @@ class _ZPoly(dict):
         """The gcd of the coefficients, nonnegative."""
         return gcd(*self.values())
 
+    # kept for perfbench/tracing.py, which reads it
     def coeffs(self) -> list:
         return list(self.values())
 
@@ -445,11 +446,12 @@ class CoeffField:
 
     # -- content normalization ------------------------------------------
 
+    # kept for perfbench/tracing.py, which wraps it
     def common_unit(self, coeffs):
         """A unit u of the field such that dividing every c in coeffs by u
         leaves primitive integer-coefficient numerators over denominator one,
-        with a positive leading coefficient on the first one.  Used to keep
-        basis elements in primitive form.
+        with a positive leading coefficient on the first one; the
+        normalization of ``Poly.primitive``.
 
         Over Q, u is the content (gcd of numerators over lcm of denominators)
         and the quotients are coprime integers.  Over Q(params), u is the gcd
@@ -595,10 +597,7 @@ class CoeffField:
         parts = []
         for exps, a in terms:
             coef = Fraction(a, den)
-            mon = "*".join(
-                n if e == 1 else "%s^%d" % (n, e)
-                for n, e in zip(self.params, exps) if e
-            )
+            mon = power_product_str(self.params, exps)
             if not mon:
                 parts.append(_frac_str(coef))
             elif coef == 1:
@@ -607,11 +606,21 @@ class CoeffField:
                 parts.append("-" + mon)
             else:
                 parts.append("%s*%s" % (_frac_str(coef), mon))
-        out = parts[0]
-        for part in parts[1:]:
-            out += " - " + part[1:] if part.startswith("-") else " + " + part
-        return out
+        return join_terms(parts)
 
 
 def _frac_str(q: Fraction) -> str:
     return str(q.numerator) if q.denominator == 1 else "%d/%d" % (q.numerator, q.denominator)
+
+
+def power_product_str(names, exps) -> str:
+    """The power product of names with exponents exps; "" when all are 0."""
+    return "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in zip(names, exps) if e)
+
+
+def join_terms(parts) -> str:
+    """Printed terms joined by " + ", or by " - " before a leading minus."""
+    out = parts[0]
+    for part in parts[1:]:
+        out += " - " + part[1:] if part.startswith("-") else " + " + part
+    return out

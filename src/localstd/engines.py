@@ -1,6 +1,13 @@
 """Completion engines: Buchberger for global orders, Mora for local orders.
 
-Both engines work fraction-free: ``_spoly`` cross-multiplies leading
+Every basis comes from one pair completion, ``_completion``, and the class of
+the order picks its reducer: full division (``_reduce_full``) under a global
+order, Mora's weak normal form (``_weak_nf``) under a local one
+(Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 1.6-1.7).
+``buchberger``, ``standard_basis`` and the invariant pipelines check the
+class with ``_require_class`` and run ``_basis`` on one ``_Budget``.
+
+Both reducers work fraction-free: ``_spoly`` cross-multiplies leading
 coefficients instead of dividing, for pairs and for every reduction step of
 ``_divide`` and ``_weak_nf`` (there the divisor's leading monomial divides
 h's, so only h is scaled), and nothing else does.  Content (the gcd of the
@@ -20,13 +27,13 @@ stands in for ``Poly.primitive``.  A field computation would give the same
 intermediate polynomials up to a unit; zero tests, leading monomials and
 ecarts do not see the unit, so both take the same steps.
 
-Mora's algorithm truncates at the highest corner (Greuel-Pfister, *A
-Singular Introduction to Commutative Algebra*, 1.7).  Under ``neg_grevlex``
-(any permutation) the leading monomial of a polynomial has its lowest
-degree.  So once the leading monomials of the basis leave finitely many
-standard monomials, of top degree k - 1, every monomial of degree k leads an
-element of the ideal whose other terms have degree k or more; these span
-m^k modulo m^(k+1), and by Nakayama m^k lies in the ideal of the local ring.
+Mora's algorithm truncates at the highest corner (Greuel-Pfister, 1.7).
+Under ``neg_grevlex`` (any permutation) the leading monomial of a polynomial
+has its lowest degree.  So once the leading monomials of the basis leave
+finitely many standard monomials, of top degree k - 1, every monomial of
+degree k leads an element of the ideal whose other terms have degree k or
+more; these span m^k modulo m^(k+1), and by Nakayama m^k lies in the ideal
+of the local ring.
 From then on every term of degree k or more is dropped from S-polynomials
 and weak-normal-form steps, and from the basis elements present whenever k
 is recomputed: that changes each by an element of the ideal and never
@@ -61,6 +68,13 @@ class OrderClassError(ValueError):
 
 class StepBudgetExceeded(RuntimeError):
     """A reduction loop exceeded its configured step budget."""
+
+
+def _require_class(order: MonomialOrder, arity: int, wanted: OrderClass, what: str):
+    got = order.classify(arity)
+    if got is not wanted:
+        raise OrderClassError("%s requires a %s monomial order, got a %s one"
+                              % (what, wanted.value, got.value))
 
 
 @dataclass(frozen=True)
@@ -102,7 +116,7 @@ class PolySet:
 
 
 class _Budget:
-    """The state of one engine call: the steps left; once a Mora completion
+    """The state of one run: the steps left; once a Mora completion
     knows it, the corner degree k with m^k inside the ideal, above which
     terms are dropped; and the conditions, the parametric leading
     coefficients (field elements) that certified each corner."""
@@ -197,8 +211,7 @@ def normal_form(f: Poly, G: PolySet, step_budget: Optional[int] = None) -> Poly:
     and f - r lies in the ideal generated by G.
     """
     order = G.order
-    if order.classify(f.ctx.arity) is not OrderClass.GLOBAL:
-        raise OrderClassError("normal_form requires a global monomial order")
+    _require_class(order, f.ctx.arity, OrderClass.GLOBAL, "normal_form")
     budget = _Budget(step_budget)
     fr, den = _to_ring(f)
     r, u = _divide(fr, [_to_ring(g)[0] for g in G], order, budget)
@@ -323,9 +336,10 @@ def _select_pair(P, lm, order):
     return min(P, key=rank)
 
 
-def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Budget):
-    """Run pair completion starting from the seed, reducing S-polynomials
-    with the supplied reducer (full division or Mora weak normal form).
+def _completion(seed: Iterable[Poly], order: MonomialOrder, budget: _Budget):
+    """Run pair completion starting from the seed, reducing S-polynomials by
+    full division under a global order and by Mora's weak normal form under
+    a local one.
 
     Completion runs on ring coefficients: the seed is cleared of
     denominators, and the basis is returned over the field.  Content is
@@ -336,9 +350,9 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
     tests, leading monomials, ecarts and truncation do not see a unit, so
     the run takes the same steps and keeps the same elements.
 
-    Under neg_grevlex (a local order, so the reducer is the weak normal
-    form) the run truncates at the highest corner and records the leading
-    coefficients that certify it on the budget; see the module docstring.
+    Under neg_grevlex (a local order) the run truncates at the highest
+    corner and records the leading coefficients that certify it on the
+    budget; see the module docstring.
     The corner is recomputed only before a pair is reduced, and only after a
     leading monomial of degree below it has arrived."""
     f: list[Poly] = []
@@ -350,6 +364,8 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, reducer, budget: _Bu
     field = seed[0].ctx.field
     one = field.to_ring(field.one)
     arity = seed[0].ctx.arity
+    # looked up at each call, so that a tracer that replaces them sees them
+    reducer = _reduce_full if order.classify(arity) is OrderClass.GLOBAL else _weak_nf
     stale = False
 
     def add(p: Poly):
@@ -428,33 +444,20 @@ def _normalize_output(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
 
 def buchberger(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
     """Groebner basis of <F> under a global order, minimalized."""
-    order = F.order
-    if order.classify(F.ctx.arity) is not OrderClass.GLOBAL:
-        raise OrderClassError("buchberger requires a global monomial order")
-    budget = _Budget(step_budget)
-    basis = _completion(F.elements, order, _reduce_full, budget)
-    basis = _minimalize(basis, order)
-    basis = _normalize_output(basis, order)
-    return PolySet(basis, order)
+    _require_class(F.order, F.ctx.arity, OrderClass.GLOBAL, "buchberger")
+    return _basis(F, _Budget(step_budget))
 
 
 def standard_basis(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
     """Mora standard basis of <F> in the local ring, minimalized."""
+    _require_class(F.order, F.ctx.arity, OrderClass.LOCAL, "standard_basis")
+    return _basis(F, _Budget(step_budget))
+
+
+def _basis(F: PolySet, budget: _Budget) -> PolySet:
+    """The minimal basis of <F> under its order, global or local, on the
+    caller's budget, which keeps the corner and its conditions after the
+    run."""
     order = F.order
-    cls = order.classify(F.ctx.arity)
-    if cls is OrderClass.GLOBAL:
-        raise OrderClassError("standard_basis requires a local order; use buchberger")
-    if cls is OrderClass.MIXED:
-        raise OrderClassError("standard_basis rejects mixed monomial orders")
-    return _standard_basis(F, _Budget(step_budget))
-
-
-def _standard_basis(F: PolySet, budget: _Budget) -> PolySet:
-    """standard_basis on the caller's budget, which keeps the corner and its
-    conditions after the run."""
-    order = F.order
-    basis = _completion(F.elements, order, _weak_nf, budget)
-    basis = _minimalize(basis, order)
-    basis = _normalize_output(basis, order)
-    return PolySet(basis, order)
-
+    basis = _minimalize(_completion(F.elements, order, budget), order)
+    return PolySet(_normalize_output(basis, order), order)

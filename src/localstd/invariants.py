@@ -11,13 +11,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .engines import OrderClassError, PolySet, _Budget, _standard_basis, buchberger
-from .orders import MonomialOrder, OrderClass, grevlex, neg_grevlex
+from .engines import PolySet, _basis, _Budget, _require_class
+from .orders import DEFAULT_ORDERS, MonomialOrder, OrderClass
 from .poly import Monomial, Poly
-
-# the default orders, built once so that every call shares their compiled keys
-_LOCAL_ORDER = neg_grevlex()
-_GLOBAL_ORDER = grevlex()
 
 
 class NonIsolatedError(RuntimeError):
@@ -154,22 +150,17 @@ def _collect_assumptions(basis: PolySet, conditions):
     return tuple(sorted(seen, key=field.to_str))
 
 
-def _require_class(order: MonomialOrder, arity: int, wanted: OrderClass, what: str):
-    got = order.classify(arity)
-    if got is not wanted:
-        raise OrderClassError("%s requires a %s monomial order, got a %s one"
-                              % (what, wanted.value, got.value))
-
-
-def _run(gens, order, locality, ideal_kind, err_message, step_budget):
-    pset = PolySet(gens, order)
-    conditions = ()
-    if locality == "local":
-        budget = _Budget(step_budget)
-        basis = _standard_basis(pset, budget)
-        conditions = budget.conditions
+def _run(name, f, order, wanted, ideal_kind, err_message, step_budget):
+    """The pipeline called name: the basis of the ideal of f under order, or
+    under the default order of the wanted class, on one budget."""
+    if order is None:
+        order = DEFAULT_ORDERS[wanted]
     else:
-        basis = buchberger(pset, step_budget=step_budget)
+        _require_class(order, f.ctx.arity, wanted, name)
+    gens = jacobian_ideal(f) if ideal_kind == "jacobian" else tyurina_ideal(f)
+    pset = PolySet(gens, order)
+    budget = _Budget(step_budget)
+    basis = _basis(pset, budget)
     leading = tuple(basis.leading_monomials())
     arity = pset.ctx.arity
     if not is_zero_dimensional(leading, arity):
@@ -182,52 +173,45 @@ def _run(gens, order, locality, ideal_kind, err_message, step_budget):
         dimension=len(qb),
         order=order,
         ideal_kind=ideal_kind,
-        locality=locality,
-        genericity_assumptions=_collect_assumptions(basis, conditions),
+        locality=wanted.value,
+        genericity_assumptions=_collect_assumptions(basis, budget.conditions),
     )
 
 
 def milnor_local(f: Poly, order: Optional[MonomialOrder] = None,
                  step_budget: Optional[int] = None) -> InvariantReport:
     """Milnor number of the origin: standard basis of the Jacobian ideal."""
-    order = order if order is not None else _LOCAL_ORDER
-    _require_class(order, f.ctx.arity, OrderClass.LOCAL, "milnor_local")
-    return _run(jacobian_ideal(f), order, "local", "jacobian",
+    return _run("milnor_local", f, order, OrderClass.LOCAL, "jacobian",
                 "the critical point at the origin is not isolated", step_budget)
 
 
 def tyurina_local(f: Poly, order: Optional[MonomialOrder] = None,
                   step_budget: Optional[int] = None) -> InvariantReport:
-    order = order if order is not None else _LOCAL_ORDER
-    _require_class(order, f.ctx.arity, OrderClass.LOCAL, "tyurina_local")
-    return _run(tyurina_ideal(f), order, "local", "tyurina",
+    return _run("tyurina_local", f, order, OrderClass.LOCAL, "tyurina",
                 "the singular point at the origin is not isolated", step_budget)
 
 
 def milnor_global(f: Poly, order: Optional[MonomialOrder] = None,
                   step_budget: Optional[int] = None) -> InvariantReport:
     """Milnor number of the polynomial: Groebner basis of the Jacobian ideal."""
-    order = order if order is not None else _GLOBAL_ORDER
-    _require_class(order, f.ctx.arity, OrderClass.GLOBAL, "milnor_global")
-    return _run(jacobian_ideal(f), order, "global", "jacobian",
+    return _run("milnor_global", f, order, OrderClass.GLOBAL, "jacobian",
                 "non-isolated critical points", step_budget)
 
 
 def tyurina_global(f: Poly, order: Optional[MonomialOrder] = None,
                    step_budget: Optional[int] = None) -> InvariantReport:
-    order = order if order is not None else _GLOBAL_ORDER
-    _require_class(order, f.ctx.arity, OrderClass.GLOBAL, "tyurina_global")
-    return _run(tyurina_ideal(f), order, "global", "tyurina",
+    return _run("tyurina_global", f, order, OrderClass.GLOBAL, "tyurina",
                 "non-isolated singular points", step_budget)
 
 
 def _fused(f, global_run, local_run, local_order, global_order,
            step_budget) -> FusedReport:
-    local_order = local_order if local_order is not None else _LOCAL_ORDER
-    global_order = global_order if global_order is not None else _GLOBAL_ORDER
+    # both orders are checked before either part runs
     arity = f.ctx.arity
-    _require_class(local_order, arity, OrderClass.LOCAL, "fused local part")
-    _require_class(global_order, arity, OrderClass.GLOBAL, "fused global part")
+    if local_order is not None:
+        _require_class(local_order, arity, OrderClass.LOCAL, "fused local part")
+    if global_order is not None:
+        _require_class(global_order, arity, OrderClass.GLOBAL, "fused global part")
     return FusedReport(global_part=global_run(f, global_order, step_budget),
                        local_part=local_run(f, local_order, step_budget))
 

@@ -86,6 +86,7 @@ class MonomialOrder:
         weights, tiebreak = self.weights, self.tiebreak.key(arity)
         return lambda mon: (sum(map(mul, weights, mon)), *tiebreak(pick(mon)))
 
+    # kept for perfbench/tracing.py, which wraps it
     def sort_key(self, mon):
         """Tuple such that key(a) < key(b) iff a < b under this order."""
         return self.key(len(mon))(mon)
@@ -96,9 +97,6 @@ class MonomialOrder:
             raise ValueError("monomials of different arity")
         ka, kb = map(self.key(len(a)), (a, b))
         return (ka > kb) - (ka < kb)
-
-    def greater(self, a, b) -> bool:
-        return self.compare(a, b) > 0
 
     # -- classification ------------------------------------------------------
 
@@ -118,15 +116,6 @@ class MonomialOrder:
         if below == arity:
             return OrderClass.LOCAL
         return OrderClass.MIXED
-
-    def opposite(self) -> "MonomialOrder":
-        flip = {"grevlex": "neg_grevlex", "neg_grevlex": "grevlex",
-                "lex": "neg_lex", "neg_lex": "lex"}
-        if self.kind in flip:
-            return MonomialOrder(flip[self.kind], self.perm)
-        return MonomialOrder("weighted", self.perm,
-                             tuple(-w for w in self.weights),
-                             self.tiebreak.opposite())
 
     # -- spelling ----------------------------------------------------------------
 
@@ -163,6 +152,11 @@ def neg_lex(perm=None) -> MonomialOrder:
 
 def weighted(weights, tiebreak: MonomialOrder, perm=None) -> MonomialOrder:
     return MonomialOrder("weighted", perm, tuple(Fraction(w) for w in weights), tiebreak)
+
+
+# the default order of each class, built once so that every caller shares
+# their compiled keys
+DEFAULT_ORDERS = {OrderClass.GLOBAL: grevlex(), OrderClass.LOCAL: neg_grevlex()}
 
 
 def parse_order(spec: str, variables) -> MonomialOrder:

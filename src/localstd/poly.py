@@ -12,10 +12,10 @@ from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterable, Mapping
 
-from .coeffs import CoeffField
-from .orders import grevlex
+from .coeffs import CoeffField, join_terms, power_product_str
+from .orders import DEFAULT_ORDERS, OrderClass
 
-_DEFAULT_ORDER = grevlex()
+_DEFAULT_ORDER = DEFAULT_ORDERS[OrderClass.GLOBAL]
 
 
 class ContextMismatchError(ValueError):
@@ -56,9 +56,7 @@ class Monomial(tuple):
         return Monomial(power if j == i else 0 for j in range(arity))
 
     def to_str(self, variables) -> str:
-        parts = [v if e == 1 else "%s^%d" % (v, e)
-                 for v, e in zip(variables, self) if e]
-        return "*".join(parts) if parts else "1"
+        return power_product_str(variables, self) or "1"
 
 
 class VarCtx:
@@ -333,6 +331,7 @@ class Poly:
 
     # -- normalization ---------------------------------------------------------
 
+    # kept for perfbench/tracing.py, which wraps it
     def primitive(self, order=None) -> "Poly":
         """Divide by the common content; sign fixed on the leading term."""
         if not self._t:
@@ -391,10 +390,7 @@ class Poly:
             else:
                 frag = "(%s)*%s" % (cs, ms)
             parts.append(frag)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        return join_terms(parts)
 
     def __str__(self):
         return self.to_str()

@@ -60,17 +60,6 @@ class WeightVector:
         if not all(w > 0 for w in self.weights):
             raise ValueError("weights must be positive rationals")
 
-    @property
-    def degree(self) -> int:
-        """Common denominator d with all d*w_i integral."""
-        from math import lcm
-        return lcm(*(w.denominator for w in self.weights))
-
-    @property
-    def integer_weights(self) -> tuple[int, ...]:
-        d = self.degree
-        return tuple(int(w * d) for w in self.weights)
-
 
 # ---------------------------------------------------------------------------
 # normal forms

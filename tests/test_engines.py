@@ -9,9 +9,10 @@ from hypothesis import strategies as st
 
 from localstd import (OrderClassError, PolySet, StepBudgetExceeded, VarCtx,
                       buchberger, ecart, grevlex, is_zero_dimensional, lex,
-                      neg_grevlex, normal_form, parse_poly, s_polynomial,
+                      neg_grevlex, neg_lex, normal_form, parse_poly, s_polynomial,
                       standard_basis, weak_normal_form, weighted)
-from localstd.engines import _Budget, _completion, _reduce_full, _update, _weak_nf
+from localstd import engines
+from localstd.engines import _Budget, _completion, _update
 from localstd.poly import Monomial, Poly
 from oracles import macaulay_dimension_if_stable
 
@@ -45,7 +46,7 @@ def test_spoly_cancels_leading_monomials():
     lcm = f.leading_monomial(o).lcm(g.leading_monomial(o))
     assert not sp.is_zero()
     assert sp.coeff(lcm) == XY.field.zero
-    assert o.greater(lcm, sp.leading_monomial(o))
+    assert o.compare(lcm, sp.leading_monomial(o)) > 0
 
 
 def test_spoly_rejects_zero():
@@ -368,14 +369,31 @@ def seed_sets(draw):
     return [Poly(XY, t) for t in polys if t]
 
 
+# two global and two local orders: completion picks its reducer by the class
+# of the order, not by its kind
 @settings(max_examples=80, deadline=None)
-@given(seed_sets(), st.sampled_from(["global", "local"]))
-def test_completion_leading_monomials_are_distinct(seed, kind):
-    order, reducer = ((grevlex(), _reduce_full) if kind == "global"
-                      else (neg_grevlex(), _weak_nf))
+@given(seed_sets(), st.sampled_from([grevlex(), weighted((1, 2), grevlex()),
+                                     neg_grevlex(), neg_lex()]))
+def test_completion_leading_monomials_are_distinct(seed, order):
     try:
-        basis = _completion(seed, order, reducer, _Budget(3000))
+        basis = _completion(seed, order, _Budget(3000))
     except StepBudgetExceeded:
         assume(False)
     lms = [p.leading_monomial(order) for p in basis]
     assert len(set(lms)) == len(lms)
+
+
+@pytest.mark.parametrize("order, reducer", [
+    (grevlex(), "_reduce_full"), (weighted((1, 2), grevlex()), "_reduce_full"),
+    (neg_grevlex(), "_weak_nf"), (neg_lex(), "_weak_nf")], ids=str)
+def test_completion_picks_the_reducer_by_order_class(monkeypatch, order, reducer):
+    # both reducers are looked up on the module, where a tracer replaces them
+    called = set()
+    for name in ("_reduce_full", "_weak_nf"):
+        real = getattr(engines, name)
+        monkeypatch.setattr(engines, name, lambda *a, name=name, real=real:
+                            called.add(name) or real(*a))
+    f = P("x^3 + y^4 + x*y^2", XY)
+    _completion([f, f.partial_derivative(0), f.partial_derivative(1)], order,
+                _Budget(200))
+    assert called == {reducer}

@@ -132,6 +132,8 @@ def test_tyurina_local_stops_once_a_unit_enters_the_basis():
 @pytest.mark.parametrize("pipeline, kind, steps", [
     (tyurina_local, "a7-from-e8", 49),
     (milnor_local, "a6-from-e7", 22),
+    (tyurina_global, "a7-from-e8", 38),
+    (milnor_global, "a6-from-e7", 19),
 ])
 def test_parametric_runs_take_the_same_steps(pipeline, kind, steps):
     # content removal at storage points only must not change the step

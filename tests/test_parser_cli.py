@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import localstd
 from localstd import (ParseError, UndeclaredSymbolError, VarCtx, coeffs,
                       grevlex, neg_grevlex, parse_poly)
 from localstd.cli import main
@@ -166,6 +167,14 @@ def test_cli_order_guards_exit_3(capsys):
     assert main(["poly-milnor", "--vars", "x,y", "--order",
                  "weighted:1,-1:lex", "x^2+y^2"]) == 3
     capsys.readouterr()
+    # the basis commands name the engine and the class they got
+    assert main(["groebner", "--vars", "x,y", "--order", "neg-lex", "x; y"]) == 3
+    assert capsys.readouterr().err == "localstd: order error: buchberger " \
+        "requires a global monomial order, got a local one\n"
+    assert main(["std-basis", "--vars", "x,y", "--order", "weighted:1,-1:lex",
+                 "x; y"]) == 3
+    assert capsys.readouterr().err == "localstd: order error: standard_basis " \
+        "requires a local monomial order, got a mixed one\n"
 
 
 def test_cli_bad_order_spelling_exit_3(capsys):
@@ -308,6 +317,13 @@ def test_cli_arithmetic_failure_exit_1(monkeypatch, capsys):
     assert rc == 1
     assert capsys.readouterr().err == \
         "localstd: error: no gcd found at 6 evaluation points\n"
+
+
+def test_every_export_resolves_once():
+    names = localstd.__all__
+    assert len(set(names)) == len(names)
+    for name in names:
+        assert hasattr(localstd, name), name
 
 
 def test_cli_key_error_message_is_unquoted(capsys):

@@ -90,11 +90,6 @@ def test_milnor_orlik_rejects_weight_one():
         milnor_orlik(WeightVector((Fraction(1), Fraction(1, 2))))
 
 
-def test_integer_weight_form():
-    w = WeightVector((Fraction(1, 2), Fraction(1, 8)))
-    assert w.degree == 8 and w.integer_weights == (4, 1)
-
-
 # ---------------------------------------------------------------------------
 # corank and classification
 # ---------------------------------------------------------------------------
