@@ -1,5 +1,9 @@
 """Command-line interface.
 
+Each polynomial subcommand is one row of the table in _build_argparser: its
+handler, the number of --order flags it takes and whether it takes
+--step-budget.  A flag that a subcommand does not take is a usage error.
+
 Exit codes: 0 success, 2 parse error (also argparse usage errors), 3 wrong or
 ill-defined monomial order, 4 non-isolated singular/critical point, 5 step
 budget exceeded, 1 anything else.
@@ -18,15 +22,15 @@ from functools import partial
 from . import __version__
 from .engines import (OrderClassError, PolySet, StepBudgetExceeded, buchberger,
                       standard_basis)
-from .invariants import (NonIsolatedError, milnor_fused, milnor_global,
-                         milnor_local, tyurina_fused, tyurina_global,
-                         tyurina_local)
+from .invariants import (FusedReport, NonIsolatedError, milnor_fused,
+                         milnor_global, milnor_local, tyurina_fused,
+                         tyurina_global, tyurina_local)
 from .orders import DEFAULT_ORDERS, OrderClass, OrderDefinitionError, parse_order
 from .parser import ParseError, parse_poly
 from .poly import VarCtx
 from .singularities import (ADJACENCY_KINDS, SingularityClass,
-                            adjacency_target, build_versal_family,
-                            classify_simple, hessian_corank, milnor_orlik,
+                            _germ_invariants, adjacency_target,
+                            build_versal_family, classify_simple, milnor_orlik,
                             sample_witness, special_adjacency_family,
                             stratum_catalog, verify_stratum, weight_vector)
 
@@ -57,7 +61,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version="localstd " + __version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_poly_command(name, help_):
+    def add_poly_command(name, help_, n_orders, budget):
         p = sub.add_parser(name, help=help_)
         p.add_argument("poly", nargs="?", help="polynomial expression "
                        "(generators split on ';' for basis commands)")
@@ -66,43 +70,47 @@ def _build_argparser() -> argparse.ArgumentParser:
                        help="comma-separated working variables")
         p.add_argument("--params", default="",
                        help="comma-separated symbolic parameters")
-        p.add_argument("--order", action="append", default=None,
-                       help="monomial order spelling: grevlex, lex, "
-                            "neg-grevlex, neg-lex, weighted:w1,...:tiebreak; "
-                            "an optional :v1,v2,... suffix gives the "
-                            "significance order.  Fused commands accept the "
-                            "flag twice (local first, then global).")
+        if n_orders:
+            p.add_argument("--order", action="append", default=None,
+                           help="monomial order spelling: grevlex, lex, "
+                                "neg-grevlex, neg-lex, weighted:w1,...:tiebreak; "
+                                "an optional :v1,v2,... suffix gives the "
+                                "significance order.  Fused commands accept "
+                                "the flag twice (local first, then global).")
         p.add_argument("--json", action="store_true", help="JSON output")
-        p.add_argument("--step-budget", type=int, default=None,
-                       help="reduction step budget (default 10^6)")
+        if budget:
+            p.add_argument("--step-budget", type=int, default=None,
+                           help="reduction step budget (default 10^6)")
+        p.set_defaults(n_orders=n_orders)
         return p
 
-    for name, help_, func in [
-            ("parse", "parse and echo the canonical form", _cmd_parse),
-            ("groebner", "Groebner basis of ';'-separated generators",
+    # name, help, --order flags taken, takes --step-budget, handler
+    for name, help_, n_orders, budget, func in [
+            ("parse", "parse and echo the canonical form", 0, False, _cmd_parse),
+            ("groebner", "Groebner basis of ';'-separated generators", 1, True,
              partial(_cmd_basis, buchberger, OrderClass.GLOBAL)),
             ("std-basis", "Mora standard basis of ';'-separated generators",
-             partial(_cmd_basis, standard_basis, OrderClass.LOCAL)),
-            ("milnor", "Milnor number of the origin (local order)",
+             1, True, partial(_cmd_basis, standard_basis, OrderClass.LOCAL)),
+            ("milnor", "Milnor number of the origin (local order)", 1, True,
              partial(_cmd_invariant, milnor_local)),
-            ("tyurina", "Tyurina number of the origin (local order)",
+            ("tyurina", "Tyurina number of the origin (local order)", 1, True,
              partial(_cmd_invariant, tyurina_local)),
             ("poly-milnor", "Milnor number of the polynomial (global order)",
-             partial(_cmd_invariant, milnor_global)),
+             1, True, partial(_cmd_invariant, milnor_global)),
             ("poly-tyurina", "Tyurina number of the polynomial (global order)",
-             partial(_cmd_invariant, tyurina_global)),
-            ("milnor-fused", "global run plus local run, Milnor",
-             partial(_cmd_fused, milnor_fused)),
-            ("tyurina-fused", "global run plus local run, Tyurina",
-             partial(_cmd_fused, tyurina_fused)),
+             1, True, partial(_cmd_invariant, tyurina_global)),
+            ("milnor-fused", "global run plus local run, Milnor", 2, True,
+             partial(_cmd_invariant, milnor_fused)),
+            ("tyurina-fused", "global run plus local run, Tyurina", 2, True,
+             partial(_cmd_invariant, tyurina_fused)),
             ("classify", "Arnol'd class of the singular point at the origin",
-             _cmd_classify),
+             0, True, _cmd_classify),
             ("deform", "versal deformation family from the Tyurina basis",
-             _cmd_deform),
-            ("milnor-orlik", "Milnor number from rational weights",
+             1, False, _cmd_deform),
+            ("milnor-orlik", "Milnor number from rational weights", 0, False,
              _cmd_milnor_orlik),
     ]:
-        add_poly_command(name, help_).set_defaults(func=func)
+        add_poly_command(name, help_, n_orders, budget).set_defaults(func=func)
 
     p = sub.add_parser("strata", help="stratification catalog of a class")
     p.add_argument("cls", help="singularity class, e.g. D6, E7")
@@ -117,7 +125,6 @@ def _build_argparser() -> argparse.ArgumentParser:
                         "omit to sample a seeded random witness")
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--json", action="store_true")
-    p.add_argument("--step-budget", type=int, default=None)
     p.set_defaults(func=_cmd_verify_stratum)
 
     p = sub.add_parser("adjacency", help="special 1-parameter adjacency family")
@@ -145,11 +152,15 @@ def _context(args) -> VarCtx:
     return VarCtx(variables, params)
 
 
-def _orders(args, ctx, want: int):
+def _orders(args, ctx) -> list:
+    """The --order flags parsed, padded with None (the default order) to the
+    number of orders the subcommand takes."""
     specs = args.order or []
-    if len(specs) > want:
-        raise OrderDefinitionError("too many --order flags (at most %d)" % want)
-    return [parse_order(s, ctx.variables) for s in specs]
+    if len(specs) > args.n_orders:
+        raise OrderDefinitionError("too many --order flags (at most %d)"
+                                   % args.n_orders)
+    return ([parse_order(s, ctx.variables) for s in specs]
+            + [None] * (args.n_orders - len(specs)))
 
 
 def _emit(args, payload, human: str, invocation=None):
@@ -191,8 +202,7 @@ def _cmd_basis(engine, wanted, args):
     ctx = _context(args)
     gens = [parse_poly(chunk, ctx)
             for chunk in _load_source(args).split(";") if chunk.strip()]
-    orders = _orders(args, ctx, 1)
-    order = orders[0] if orders else DEFAULT_ORDERS[wanted]
+    order = _orders(args, ctx)[0] or DEFAULT_ORDERS[wanted]
     basis = engine(PolySet(gens, order), step_budget=args.step_budget)
     payload = {
         "order": order.spell(ctx.variables),
@@ -208,39 +218,25 @@ def _cmd_basis(engine, wanted, args):
 def _cmd_invariant(fn, args):
     ctx = _context(args)
     f = parse_poly(_load_source(args), ctx)
-    orders = _orders(args, ctx, 1)
+    orders = _orders(args, ctx)
     t0 = time.perf_counter()
-    report = fn(f, orders[0] if orders else None, step_budget=args.step_budget)
+    report = fn(f, *orders, step_budget=args.step_budget)
     elapsed = time.perf_counter() - t0
+    if isinstance(report, FusedReport):
+        human = ("== global ==\n" + _report_human(report.global_part)
+                 + "\n== local ==\n" + _report_human(report.local_part))
+    else:
+        human = _report_human(report)
     # timing goes to the human output only; JSON stays byte-reproducible
-    human = _report_human(report) + "\nelapsed: %.1f ms" % (elapsed * 1e3)
-    _emit(args, report.to_json_dict(), human)
-    return EXIT_OK
-
-
-def _cmd_fused(fn, args):
-    ctx = _context(args)
-    f = parse_poly(_load_source(args), ctx)
-    orders = _orders(args, ctx, 2)
-    local = orders[0] if len(orders) >= 1 else None
-    global_ = orders[1] if len(orders) >= 2 else None
-    t0 = time.perf_counter()
-    fused = fn(f, local, global_, step_budget=args.step_budget)
-    elapsed = time.perf_counter() - t0
-    human = ("== global ==\n" + _report_human(fused.global_part)
-             + "\n== local ==\n" + _report_human(fused.local_part)
-             + "\nelapsed: %.1f ms" % (elapsed * 1e3))
-    _emit(args, fused.to_json_dict(), human)
+    _emit(args, report.to_json_dict(),
+          human + "\nelapsed: %.1f ms" % (elapsed * 1e3))
     return EXIT_OK
 
 
 def _cmd_classify(args):
     ctx = _context(args)
     f = parse_poly(_load_source(args), ctx)
-    mu = milnor_local(f, step_budget=args.step_budget).dimension
-    tau = tyurina_local(f, step_budget=args.step_budget).dimension
-    crk = hessian_corank(f)
-    cls = classify_simple(f, mu=mu)
+    mu, tau, crk, cls = _germ_invariants(f, step_budget=args.step_budget)
     payload = {"class": cls.name if cls else None, "mu": mu, "tau": tau,
                "corank": crk}
     name = cls.name if cls else "not simple / out of scope"
@@ -251,8 +247,7 @@ def _cmd_classify(args):
 def _cmd_deform(args):
     ctx = _context(args)
     f = parse_poly(_load_source(args), ctx)
-    orders = _orders(args, ctx, 1)
-    fam = build_versal_family(f, orders[0] if orders else None)
+    fam = build_versal_family(f, *_orders(args, ctx))
     payload = {
         "family": fam.family.to_str(),
         "parameters": list(fam.parameters),

@@ -9,6 +9,7 @@ the invariant of the polynomial.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import product
 from typing import Optional
 
 from .engines import PolySet, _basis, _Budget, _require_class
@@ -95,20 +96,10 @@ def is_zero_dimensional(leading, arity: int) -> bool:
     return True
 
 
-def _monomials_capped(arity: int, caps):
-    """Every monomial with exponent i below caps[i]."""
-    exps = [0] * arity
-
-    def rec(i):
-        for e in range(caps[i]):
-            exps[i] = e
-            if i == arity - 1:
-                yield Monomial(exps)
-            else:
-                yield from rec(i + 1)
-        exps[i] = 0
-
-    yield from rec(0)
+def _monomials_capped(caps):
+    """Every monomial with exponent i below caps[i], the last exponent
+    varying fastest."""
+    return map(Monomial, product(*map(range, caps)))
 
 
 def standard_monomials(leading, arity: int) -> list[Monomial]:
@@ -123,7 +114,7 @@ def standard_monomials(leading, arity: int) -> list[Monomial]:
     caps = [min(m[i] for m in leading if m.is_pure_power_of(i))
             for i in range(arity)]
     mixed = [l for l in leading if sum(map(bool, l)) > 1]
-    return [m for m in _monomials_capped(arity, caps)
+    return [m for m in _monomials_capped(caps)
             if not any(l.divides(m) for l in mixed)]
 
 

@@ -162,45 +162,37 @@ DEFAULT_ORDERS = {OrderClass.GLOBAL: grevlex(), OrderClass.LOCAL: neg_grevlex()}
 def parse_order(spec: str, variables) -> MonomialOrder:
     """Parse a CLI order spelling.
 
-    Grammar: NAME[:v1,v2,...] for the four plain kinds, or
-    weighted:w1,w2,...:TIEBREAK[:v1,v2,...].  The optional trailing variable
-    list gives the significance order (most significant first).
+    Grammar: KIND[:v1,v2,...] for the four plain kinds (grevlex, lex,
+    neg-grevlex, neg-lex), or weighted:w1,w2,...:TIEBREAK[:v1,v2,...] with a
+    plain TIEBREAK.  The optional trailing variable list gives the
+    significance order (most significant first).  The order is checked
+    against the number of variables right away; every fault raises
+    OrderDefinitionError.
     """
     spec = spec.strip()
     parts = spec.split(":")
     kind = parts.pop(0).replace("-", "_")
-
-    def parse_perm(chunk: str) -> tuple[int, ...]:
-        names = [s.strip() for s in chunk.split(",")]
-        try:
-            return tuple(list(variables).index(n) for n in names)
-        except ValueError:
-            raise OrderDefinitionError(
-                "unknown variable in order permutation %r" % chunk) from None
-
-    if kind in ("grevlex", "lex", "neg_grevlex", "neg_lex"):
-        perm = None
-        if parts:
-            perm = parse_perm(parts.pop(0))
-        if parts:
-            raise OrderDefinitionError("trailing junk in order spec %r" % spec)
-        order = MonomialOrder(kind, perm)
-    elif kind == "weighted":
+    weights = tiebreak = perm = None
+    if kind == "weighted":
         if len(parts) < 2:
             raise OrderDefinitionError("weighted order needs weights and a tie-break")
         try:
-            weights_ = tuple(Fraction(w) for w in parts.pop(0).split(","))
+            weights = tuple(Fraction(w) for w in parts.pop(0).split(","))
         except (ValueError, ZeroDivisionError):
             raise OrderDefinitionError("bad weight vector in %r" % spec) from None
         tb_kind = parts.pop(0).replace("-", "_")
         if tb_kind not in ("grevlex", "lex", "neg_grevlex", "neg_lex"):
             raise OrderDefinitionError("bad tie-break %r" % tb_kind)
-        perm = parse_perm(parts.pop(0)) if parts else None
-        if parts:
-            raise OrderDefinitionError("trailing junk in order spec %r" % spec)
-        order = MonomialOrder("weighted", perm, weights_, MonomialOrder(tb_kind))
-    else:
-        raise OrderDefinitionError("unknown order kind %r" % kind)
-    # validate the fit against the arity right away
+        tiebreak = MonomialOrder(tb_kind)
+    if parts:
+        chunk = parts.pop(0)
+        try:
+            perm = tuple(list(variables).index(n.strip()) for n in chunk.split(","))
+        except ValueError:
+            raise OrderDefinitionError(
+                "unknown variable in order permutation %r" % chunk) from None
+    if parts:
+        raise OrderDefinitionError("trailing junk in order spec %r" % spec)
+    order = MonomialOrder(kind, perm, weights, tiebreak)
     order.key(len(list(variables)))
     return order

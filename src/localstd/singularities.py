@@ -704,6 +704,14 @@ def sample_witness(stratum: Stratum, rng: random.Random, max_den: int = 7) -> di
     raise RuntimeError("no nondegenerate witness found for %s" % stratum.name)
 
 
+def _germ_invariants(f: Poly, step_budget: Optional[int] = None):
+    """(mu, tau, Hessian corank, simple class or None) of the germ of f at
+    the origin."""
+    mu = milnor_local(f, step_budget=step_budget).dimension
+    tau = tyurina_local(f, step_budget=step_budget).dimension
+    return mu, tau, hessian_corank(f), classify_simple(f, mu=mu)
+
+
 def verify_stratum(cls: SingularityClass, stratum: Stratum,
                    witness: dict) -> StratumVerification:
     """Parse the witness family at the witness, compute (mu, tau, corank, class)
@@ -721,10 +729,7 @@ def verify_stratum(cls: SingularityClass, stratum: Stratum,
         if name not in stratum.witness_params:
             raise KeyError("unknown parameter %r" % name)
     f = stratum.family(witness)
-    mu = milnor_local(f).dimension
-    tau = tyurina_local(f).dimension
-    crk = hessian_corank(f)
-    got = classify_simple(f, mu=mu)
+    mu, tau, crk, got = _germ_invariants(f)
     coords = _coordinates(f, stratum.generic)
     if coords:
         for eq in stratum.equations:

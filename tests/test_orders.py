@@ -223,10 +223,20 @@ def test_parse_order_spellings():
 
 
 def test_parse_order_rejects_garbage():
-    for bad in ["fancylex", "weighted:1,2", "lex:q,w,e", "grevlex:x,y,z:extra",
-                "weighted:1,a:lex"]:
-        with pytest.raises(OrderDefinitionError):
+    for bad, message in [
+            ("fancylex", "unknown order kind 'fancylex'"),
+            ("weighted:1,2", "weighted order needs weights and a tie-break"),
+            ("weighted:1,a:lex", "bad weight vector in 'weighted:1,a:lex'"),
+            ("weighted:1,1,1:weighted", "bad tie-break 'weighted'"),
+            ("weighted:1,1,1:sorcery", "bad tie-break 'sorcery'"),
+            ("lex:q,w,e", "unknown variable in order permutation 'q,w,e'"),
+            ("grevlex:x,y,z:extra",
+             "trailing junk in order spec 'grevlex:x,y,z:extra'"),
+            ("weighted:1,1,1:lex:z,y,x:extra",
+             "trailing junk in order spec 'weighted:1,1,1:lex:z,y,x:extra'")]:
+        with pytest.raises(OrderDefinitionError) as exc:
             parse_order(bad, ("x", "y", "z"))
+        assert str(exc.value) == message, bad
 
 
 def test_spell_round_trip():

@@ -1,5 +1,6 @@
 """Expression parser and command-line interface."""
 
+import argparse
 import json
 from fractions import Fraction
 
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 import localstd
 from localstd import (ParseError, UndeclaredSymbolError, VarCtx, coeffs,
                       grevlex, neg_grevlex, parse_poly)
-from localstd.cli import main
+from localstd.cli import _build_argparser, main
 
 
 def P(src, variables="x,y", params=""):
@@ -229,6 +230,53 @@ def test_cli_fused_accepts_two_orders(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["result"]["global_part"]["dimension"] == 4
     assert doc["result"]["local_part"]["dimension"] == 4
+
+
+_POLY_OPTIONS = {"-h", "--help", "--file", "--vars", "--params", "--json"}
+_ORDER_BUDGET = _POLY_OPTIONS | {"--order", "--step-budget"}
+
+
+def test_cli_option_sets_are_pinned():
+    # every option a subcommand accepts is read by its handler
+    sub = next(a for a in _build_argparser()._actions
+               if isinstance(a, argparse._SubParsersAction))
+    got = {name: {o for a in p._actions for o in a.option_strings}
+           for name, p in sub.choices.items()}
+    assert got == {
+        "parse": _POLY_OPTIONS,
+        **{name: _ORDER_BUDGET
+           for name in ["groebner", "std-basis", "milnor", "tyurina",
+                        "poly-milnor", "poly-tyurina", "milnor-fused",
+                        "tyurina-fused"]},
+        "classify": _POLY_OPTIONS | {"--step-budget"},
+        "deform": _POLY_OPTIONS | {"--order"},
+        "milnor-orlik": _POLY_OPTIONS,
+        "strata": {"-h", "--help", "--json"},
+        "verify-stratum": {"-h", "--help", "--witness", "--seed", "--json"},
+        "adjacency": {"-h", "--help", "--n", "--t", "--json"},
+    }
+
+
+@pytest.mark.parametrize("command, flag", [
+    ("parse", "--order"), ("parse", "--step-budget"),
+    ("milnor-orlik", "--order"), ("milnor-orlik", "--step-budget"),
+    ("classify", "--order"), ("deform", "--step-budget"),
+    ("verify-stratum", "--step-budget"),
+])
+def test_cli_unread_flags_are_usage_errors(command, flag, capsys):
+    args = (["E8", "W2~5"] if command == "verify-stratum"
+            else ["--vars", "y,z", "y^2*z + z^5"])
+    with pytest.raises(SystemExit) as exc:
+        main([command, *args, flag, "10"])
+    assert exc.value.code == 2
+    assert "unrecognized arguments: %s 10" % flag in capsys.readouterr().err
+
+
+def test_cli_too_many_orders_exit_3(capsys):
+    assert main(["milnor", "--vars", "x,y", "--order", "neg-lex",
+                 "--order", "neg-lex", "x^2+y^2"]) == 3
+    assert capsys.readouterr().err == \
+        "localstd: order error: too many --order flags (at most 1)\n"
 
 
 def test_cli_json_is_deterministic(capsys):
