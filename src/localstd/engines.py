@@ -4,8 +4,9 @@ Every basis comes from one pair completion, ``_completion``, and the class of
 the order picks its reducer: full division (``_reduce_full``) under a global
 order, Mora's weak normal form (``_weak_nf``) under a local one
 (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 1.6-1.7).
-``buchberger``, ``standard_basis`` and the invariant pipelines check the
-class with ``_require_class`` and run ``_basis`` on one ``_Budget``.
+``buchberger``, ``standard_basis`` and the invariant pipelines all run
+``_basis`` on one ``_Budget``; it checks the class of the order once, with
+``_require_class``, and hands the class it checked to the completion.
 
 Both reducers work fraction-free: ``_spoly`` cross-multiplies leading
 coefficients instead of dividing, for pairs and for every reduction step of
@@ -336,10 +337,11 @@ def _select_pair(P, lm, order):
     return min(P, key=rank)
 
 
-def _completion(seed: Iterable[Poly], order: MonomialOrder, budget: _Budget):
+def _completion(seed: Iterable[Poly], order: MonomialOrder, budget: _Budget,
+                wanted: OrderClass):
     """Run pair completion starting from the seed, reducing S-polynomials by
-    full division under a global order and by Mora's weak normal form under
-    a local one.
+    full division when wanted, the class the caller checked the order to
+    have, is global, and by Mora's weak normal form when it is local.
 
     Completion runs on ring coefficients: the seed is cleared of
     denominators, and the basis is returned over the field.  Content is
@@ -365,7 +367,7 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, budget: _Budget):
     one = field.to_ring(field.one)
     arity = seed[0].ctx.arity
     # looked up at each call, so that a tracer that replaces them sees them
-    reducer = _reduce_full if order.classify(arity) is OrderClass.GLOBAL else _weak_nf
+    reducer = _reduce_full if wanted is OrderClass.GLOBAL else _weak_nf
     stale = False
 
     def add(p: Poly):
@@ -444,20 +446,19 @@ def _normalize_output(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
 
 def buchberger(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
     """Groebner basis of <F> under a global order, minimalized."""
-    _require_class(F.order, F.ctx.arity, OrderClass.GLOBAL, "buchberger")
-    return _basis(F, _Budget(step_budget))
+    return _basis(F, _Budget(step_budget), OrderClass.GLOBAL, "buchberger")
 
 
 def standard_basis(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
     """Mora standard basis of <F> in the local ring, minimalized."""
-    _require_class(F.order, F.ctx.arity, OrderClass.LOCAL, "standard_basis")
-    return _basis(F, _Budget(step_budget))
+    return _basis(F, _Budget(step_budget), OrderClass.LOCAL, "standard_basis")
 
 
-def _basis(F: PolySet, budget: _Budget) -> PolySet:
-    """The minimal basis of <F> under its order, global or local, on the
-    caller's budget, which keeps the corner and its conditions after the
-    run."""
+def _basis(F: PolySet, budget: _Budget, wanted: OrderClass, what: str) -> PolySet:
+    """The minimal basis of <F> under its order, which must be of the wanted
+    class (else OrderClassError names what), on the caller's budget, which
+    keeps the corner and its conditions after the run."""
     order = F.order
-    basis = _minimalize(_completion(F.elements, order, budget), order)
+    _require_class(order, F.ctx.arity, wanted, what)
+    basis = _minimalize(_completion(F.elements, order, budget, wanted), order)
     return PolySet(_normalize_output(basis, order), order)

@@ -144,14 +144,11 @@ def _collect_assumptions(basis: PolySet, conditions):
 def _run(name, f, order, wanted, ideal_kind, err_message, step_budget):
     """The pipeline called name: the basis of the ideal of f under order, or
     under the default order of the wanted class, on one budget."""
-    if order is None:
-        order = DEFAULT_ORDERS[wanted]
-    else:
-        _require_class(order, f.ctx.arity, wanted, name)
+    order = order or DEFAULT_ORDERS[wanted]
     gens = jacobian_ideal(f) if ideal_kind == "jacobian" else tyurina_ideal(f)
     pset = PolySet(gens, order)
     budget = _Budget(step_budget)
-    basis = _basis(pset, budget)
+    basis = _basis(pset, budget, wanted, name)
     leading = tuple(basis.leading_monomials())
     arity = pset.ctx.arity
     if not is_zero_dimensional(leading, arity):

@@ -43,9 +43,9 @@ def _tokenize(src: str):
             tokens.append((ch, ch, i))
             i += 1
             continue
-        if ch.isdigit():
+        if ch.isdecimal():
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j].isdecimal():
                 j += 1
             tokens.append(("INT", src[i:j], i))
             i = j

@@ -47,7 +47,8 @@ class SingularityClass:
     @staticmethod
     def parse(text: str) -> "SingularityClass":
         text = text.strip().upper()
-        if len(text) < 2 or text[0] not in "ADE":
+        # int() would also read signs, spaces and underscores
+        if not (text[:1] in ("A", "D", "E") and text[1:].isdecimal()):
             raise ValueError("bad singularity class %r" % text)
         return SingularityClass(text[0], int(text[1:]))
 
@@ -262,7 +263,7 @@ _VERSAL_PREFIX = "lam"
 @dataclass(frozen=True)
 class DeformationFamily:
     base: Poly
-    monomials: tuple[Monomial, ...]   # ascending degree; lam_i multiplies monomials[i]
+    monomials: tuple[Monomial, ...]   # descending under the order; lam_i multiplies monomials[i]
     parameters: tuple[str, ...]
     family: Poly
 
@@ -274,12 +275,14 @@ class DeformationFamily:
 def build_versal_family(f: Poly, order: Optional[MonomialOrder] = None) -> DeformationFamily:
     """Deform by the Tyurina quotient basis, one fresh parameter each.
 
-    Parameters pair with the quotient monomials in ascending degree order,
-    so lam0 multiplies 1 whenever the ideal is not the unit ideal.
+    Parameters pair with the quotient monomials descending under the local
+    order, which is ascending degree only under neg_grevlex.  1 is the
+    largest monomial of every local order, so lam0 multiplies 1 whenever the
+    ideal is not the unit ideal.
     """
     report = tyurina_local(f, order)
     monoms = list(report.quotient_basis)
-    monoms.reverse()  # local ascending = descending degree; flip
+    monoms.reverse()  # the quotient basis ascends under the order
     taken = set(f.ctx.variables) | set(f.ctx.parameters)
     names = []
     for i in range(len(monoms)):
@@ -318,7 +321,6 @@ class Stratum:
 
     name: str
     expected: SingularityClass
-    expected_mu: int
     equations: tuple[str, ...]
     family_src: str
     witness_params: tuple[str, ...]
@@ -327,6 +329,11 @@ class Stratum:
                                                    compare=False)
     notes: str = ""
     flagged_variants: tuple[str, ...] = ()
+
+    @property
+    def expected_mu(self) -> int:
+        """The Milnor number of the expected type: its index."""
+        return self.expected.index
 
     def family(self, witness: dict) -> Poly:
         """The witness family at a rational point of its parameters, over Q."""
@@ -383,6 +390,12 @@ class StratumVerification:
         }
 
 
+# the equation of W2 in the D and E catalogs, and the second one of W2^3 in
+# the E catalogs
+_W2 = "v0^2 - 4*v1*v2"
+_W3 = "v1^3*v4^2 - v2*(v1*v3 + v2)^2"
+
+
 def _an_catalog(n: int) -> list[Stratum]:
     strata = []
     for m in range(1, n + 1):
@@ -393,7 +406,7 @@ def _an_catalog(n: int) -> list[Stratum]:
         side = ("v%d" % (m + 1),) if m < n else ()
         strata.append(Stratum(
             name="L" if m == 1 else "V2^%d" % m,
-            expected=SingularityClass("A", m), expected_mu=m,
+            expected=SingularityClass("A", m),
             equations=eqs, family_src=src, witness_params=params,
             side_conditions=side,
         ))
@@ -401,30 +414,28 @@ def _an_catalog(n: int) -> list[Stratum]:
 
 
 def _dn_catalog(n: int) -> list[Stratum]:
-    w2 = "v0^2 - 4*v1*v2"
-
     def tail(lo: int) -> str:
         return "".join(" + v%d*Z^%d" % (k, k) for k in range(lo, n - 1))
 
     base = "Y^2*Z + Z^%d" % (n - 1)
     strata = [
-        Stratum("L", SingularityClass("A", 1), 1, (),
+        Stratum("L", SingularityClass("A", 1), (),
                 base + " + v0*Y*Z + v1*Y^2" + tail(2),
                 tuple("v%d" % k for k in range(0, n - 1)),
-                side_conditions=(w2,)),
-        Stratum("W2", SingularityClass("A", 2), 2, (w2,),
+                side_conditions=(_W2,)),
+        Stratum("W2", SingularityClass("A", 2), (_W2,),
                 base + " + (w1*Y + w2*Z)^2" + tail(3),
                 ("w1", "w2") + tuple("v%d" % k for k in range(3, n - 1)),
                 side_conditions=("w1", "w2") + (("w2^2 + v3*w1^2",) if n >= 5 else ())),
-        Stratum("V0&V1", SingularityClass("A", 3), 3, ("v0", "v1"),
+        Stratum("V0&V1", SingularityClass("A", 3), ("v0", "v1"),
                 base + tail(2),
                 tuple("v%d" % k for k in range(2, n - 1)),
                 side_conditions=("v2",)),
     ]
     if n >= 5:
         strata.append(Stratum(
-            "W2&W3", SingularityClass("A", 3), 3,
-            (w2, "v1*v3 + v2"),
+            "W2&W3", SingularityClass("A", 3),
+            (_W2, "v1*v3 + v2"),
             base + " + v1*(Y + s*Z)^2 - s^2*Z^3" + tail(4),
             ("v1", "s") + tuple("v%d" % k for k in range(4, n - 1)),
             side_conditions=("v1", "s",
@@ -434,20 +445,20 @@ def _dn_catalog(n: int) -> list[Stratum]:
         params = tuple("v%d" % j for j in range(k + 1, n - 1))
         side = ("v%d" % (k + 1),) if k + 1 <= n - 2 else ()
         strata.append(Stratum(
-            "V0^%d" % k, SingularityClass("D", k + 2), k + 2,
+            "V0^%d" % k, SingularityClass("D", k + 2),
             tuple("v%d" % j for j in range(0, k + 1)),
             base + tail(k + 1), params, side_conditions=side))
     if n >= 6:
         strata.append(Stratum(
-            "W2^4", SingularityClass("A", 4), 4,
-            (w2, "v1*v3 + v2", "v1*v4 + v3"),
+            "W2^4", SingularityClass("A", 4),
+            (_W2, "v1*v3 + v2", "v1*v4 + v3"),
             base + " + (w1*Y - w1^2*w4*Z)^2 - w1^2*w4^2*Z^3 + w4^2*Z^4" + tail(5),
             ("w1", "w4") + tuple("v%d" % k for k in range(5, n - 1)),
             side_conditions=("w1", "w4") + (("w1^2*v5 + w4^2",) if n >= 7 else ())))
     if n == 6:
         strata.append(Stratum(
-            "W2^5", SingularityClass("A", 5), 5,
-            (w2, "v1*v3 + v2", "v1*v4 + v3", "v1 + v4"),
+            "W2^5", SingularityClass("A", 5),
+            (_W2, "v1*v3 + v2", "v1*v4 + v3", "v1 + v4"),
             "Z*Y^2 - Z^5 - v1*(Y + v1*Z)^2 - v1^2*Z^3 - v1*Z^4",
             ("v1",), side_conditions=("v1",),
             notes=("stratum has no nonzero rational points; witness family is "
@@ -457,34 +468,32 @@ def _dn_catalog(n: int) -> list[Stratum]:
 
 
 def _e6_catalog() -> list[Stratum]:
-    w2 = "v0^2 - 4*v1*v2"
-    w3 = "v1^3*v4^2 - v2*(v1*v3 + v2)^2"
     base = "Y^3 + Z^4"
     return [
-        Stratum("L", SingularityClass("A", 1), 1, (),
+        Stratum("L", SingularityClass("A", 1), (),
                 base + " + v0*Y*Z + v1*Y^2 + v2*Z^2 + v3*Y*Z^2 + v4*Z^3",
-                ("v0", "v1", "v2", "v3", "v4"), side_conditions=(w2,)),
-        Stratum("W2", SingularityClass("A", 2), 2, (w2,),
+                ("v0", "v1", "v2", "v3", "v4"), side_conditions=(_W2,)),
+        Stratum("W2", SingularityClass("A", 2), (_W2,),
                 base + " + (w1*Y + w2*Z)^2 + v3*Y*Z^2 + v4*Z^3",
                 ("w1", "w2", "v3", "v4"),
                 side_conditions=("w1", "w2", "w1^3*v4 - w1^2*w2*v3 - w2^3")),
-        Stratum("W2^3", SingularityClass("A", 3), 3, (w2, w3),
+        Stratum("W2^3", SingularityClass("A", 3), (_W2, _W3),
                 base + " + v1*(Y + u*Z)^2 + v3*Y*Z^2 + u*(v3 + u^2)*Z^3",
                 ("v1", "u", "v3"),
                 side_conditions=("v1", "u", "4*v1 - (v3 + 3*u^2)^2")),
-        Stratum("V0^2", SingularityClass("D", 4), 4, ("v0", "v1", "v2"),
+        Stratum("V0^2", SingularityClass("D", 4), ("v0", "v1", "v2"),
                 base + " + v3*Y*Z^2 + v4*Z^3", ("v3", "v4"),
                 side_conditions=("4*v3^3 + 27*v4^2",)),
-        Stratum("W2^4", SingularityClass("A", 4), 4,
-                (w2, w3, "4*v1^3 - (v1*v3 + 3*v2)^2"),
+        Stratum("W2^4", SingularityClass("A", 4),
+                (_W2, _W3, "4*v1^3 - (v1*v3 + 3*v2)^2"),
                 base + " + 1/4*(3*u^2 + v3)^2*(Y + u*Z)^2 + v3*Y*Z^2 + u*(v3 + u^2)*Z^3",
                 ("u", "v3"),
                 side_conditions=("u", "3*u^2 + v3")),
-        Stratum("V&V0^2", SingularityClass("D", 5), 5,
+        Stratum("V&V0^2", SingularityClass("D", 5),
                 ("v0", "v1", "v2", "4*v3^3 + 27*v4^2"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3", ("a",),
                 side_conditions=("a",)),
-        Stratum("W&V0&V2&V4", SingularityClass("A", 5), 5,
+        Stratum("W&V0&V2&V4", SingularityClass("A", 5),
                 ("v0", "v2", "v4", "v3^2 - 4*v1"),
                 base + " + 1/4*v3^2*Y^2 + v3*Y*Z^2", ("v3",),
                 side_conditions=("v3",)),
@@ -492,8 +501,6 @@ def _e6_catalog() -> list[Stratum]:
 
 
 def _e7_catalog() -> list[Stratum]:
-    w2 = "v0^2 - 4*v1*v2"
-    w3 = "v1^3*v4^2 - v2*(v1*v3 + v2)^2"
     w4 = "16*v1^5*v2 - ((v1*v3 + 3*v2)^2 - 4*v1^3*v5)^2"
     w4_flagged = "16*v1^5*v2 - ((v1*v2 + 3*v2)^2 - 4*v1^3*v5)^2"
     w5 = "v1*v5^2 - v2"
@@ -501,32 +508,32 @@ def _e7_catalog() -> list[Stratum]:
     w6 = "16*v1^5 - 729*v2^3"
     base = "Y^3 + Y*Z^3"
     return [
-        Stratum("L", SingularityClass("A", 1), 1, (),
+        Stratum("L", SingularityClass("A", 1), (),
                 base + " + v0*Y*Z + v1*Y^2 + v2*Z^2 + v3*Y*Z^2 + v4*Z^3 + v5*Z^4",
-                ("v0", "v1", "v2", "v3", "v4", "v5"), side_conditions=(w2,)),
-        Stratum("W2", SingularityClass("A", 2), 2, (w2,),
+                ("v0", "v1", "v2", "v3", "v4", "v5"), side_conditions=(_W2,)),
+        Stratum("W2", SingularityClass("A", 2), (_W2,),
                 base + " + (w1*Y + w2*Z)^2 + v3*Y*Z^2 + v4*Z^3 + v5*Z^4",
                 ("w1", "w2", "v3", "v4", "v5"),
                 side_conditions=("w1", "w2", "w2^2*v3*w1^2 + w2^4 - w2*w1^3*v4")),
-        Stratum("W2^3", SingularityClass("A", 3), 3, (w2, w3),
+        Stratum("W2^3", SingularityClass("A", 3), (_W2, _W3),
                 base + " + v1*(Y + u*Z)^2 + v3*Y*Z^2 + u*(v3 + u^2)*Z^3 + v5*Z^4",
                 ("v1", "u", "v3", "v5"),
                 side_conditions=("v1", "u", "4*v1*(v5 - u) - (v3 + 3*u^2)^2")),
-        Stratum("V0^2", SingularityClass("D", 4), 4, ("v0", "v1", "v2"),
+        Stratum("V0^2", SingularityClass("D", 4), ("v0", "v1", "v2"),
                 base + " + v3*Y*Z^2 + v4*Z^3 + v5*Z^4", ("v3", "v4", "v5"),
                 side_conditions=("4*v3^3 + 27*v4^2",)),
-        Stratum("V&V0^2", SingularityClass("D", 5), 5,
+        Stratum("V&V0^2", SingularityClass("D", 5),
                 ("v0", "v1", "v2", "4*v3^3 + 27*v4^2"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3 + v5*Z^4", ("a", "v5"),
                 side_conditions=("a", "a - v5")),
-        Stratum("V0^4", SingularityClass("E", 6), 6,
+        Stratum("V0^4", SingularityClass("E", 6),
                 ("v0", "v1", "v2", "v3", "v4"),
                 base + " + v5*Z^4", ("v5",), side_conditions=("v5",)),
-        Stratum("V'&V0^2", SingularityClass("D", 6), 6,
+        Stratum("V'&V0^2", SingularityClass("D", 6),
                 ("v0", "v1", "v2", "v3 + 3*v5^2", "v4 + 2*v5^3"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3 + a*Z^4", ("a",),
                 side_conditions=("a",)),
-        Stratum("W2~4", SingularityClass("A", 4), 4, (w2, w3, w4),
+        Stratum("W2~4", SingularityClass("A", 4), (_W2, _W3, w4),
                 base + " + (w1*Y + u*w1*Z)^2 + (2*t*w1 - 3*u^2)*Y*Z^2"
                 " + u*(2*t*w1 - 2*u^2)*Z^3 + (t^2 + u)*Z^4",
                 ("w1", "u", "t"),
@@ -534,15 +541,15 @@ def _e7_catalog() -> list[Stratum]:
                 flagged_variants=(w4_flagged,),
                 notes="fourth equation uses v1*v3, the printed v1*v2 variant "
                       "fails the stratum's own parameterization"),
-        Stratum("W2~5", SingularityClass("A", 5), 5, (w2, w3, w4, w5),
+        Stratum("W2~5", SingularityClass("A", 5), (_W2, _W3, w4, w5),
                 base + " + (w1*Y + u*w1*Z)^2 - 3*u^2*Y*Z^2 - 2*u^3*Z^3 + u*Z^4",
                 ("w1", "u"), side_conditions=("w1", "u")),
-        Stratum("W2~5'", SingularityClass("A", 5), 5, (w2, w3, w4, w5p),
+        Stratum("W2~5'", SingularityClass("A", 5), (_W2, _W3, w4, w5p),
                 base + " + (3*t*u*Y + 3*u^2*t*Z)^2 + (-6*t^2*u - 3*u^2)*Y*Z^2"
                 " + u*(-6*t^2*u - 2*u^2)*Z^3 + (t^2 + u)*Z^4",
                 ("u", "t"),
                 side_conditions=("u", "t", "4*t^2 - 3*u")),
-        Stratum("W2~6", SingularityClass("A", 6), 6, (w2, w3, w4, w5p, w6),
+        Stratum("W2~6", SingularityClass("A", 6), (_W2, _W3, w4, w5p, w6),
                 base + " + (4*t^3*Y + 16/3*t^5*Z)^2 - 40/3*t^4*Y*Z^2"
                 " - 416/27*t^6*Z^3 + 7/3*t^2*Z^4",
                 ("t",), side_conditions=("t",)),
@@ -550,8 +557,6 @@ def _e7_catalog() -> list[Stratum]:
 
 
 def _e8_catalog() -> list[Stratum]:
-    w2 = "v0^2 - 4*v1*v2"
-    w3 = "v1^3*v4^2 - v2*(v1*v3 + v2)^2"
     w4 = "16*v1^5*v2*v5^2 - ((v1*v3 + 3*v2)^2 - 4*v1^3*v6)^2"
     p = "(v1*v3 + 3*v2)"
     w5 = ("(4*v1^5*v5^2*%s^2 + 16*v1^7*(v1^2 + v1*v3*v5 + 3*v2*v5) - 9*v2*%s^4)"
@@ -579,60 +584,60 @@ def _e8_catalog() -> list[Stratum]:
                  + " + (b - 8*c^2)*Y*Z^3"
                  + " + (c^2*b^2 + %s*(b - 8*c^2))*Z^4" % u6)
     return [
-        Stratum("L", SingularityClass("A", 1), 1, (),
+        Stratum("L", SingularityClass("A", 1), (),
                 base + " + v0*Y*Z + v1*Y^2 + v2*Z^2 + v3*Y*Z^2 + v4*Z^3"
                 " + v5*Y*Z^3 + v6*Z^4",
-                ("v0", "v1", "v2", "v3", "v4", "v5", "v6"), side_conditions=(w2,)),
-        Stratum("W2", SingularityClass("A", 2), 2, (w2,),
+                ("v0", "v1", "v2", "v3", "v4", "v5", "v6"), side_conditions=(_W2,)),
+        Stratum("W2", SingularityClass("A", 2), (_W2,),
                 base + " + (w1*Y + w2*Z)^2 + v3*Y*Z^2 + v4*Z^3 + v5*Y*Z^3 + v6*Z^4",
                 ("w1", "w2", "v3", "v4", "v5", "v6"),
                 side_conditions=("w1", "w2", "w2^3 + w1^2*w2*v3 - w1^3*v4")),
-        Stratum("W2^3", SingularityClass("A", 3), 3, (w2, w3),
+        Stratum("W2^3", SingularityClass("A", 3), (_W2, _W3),
                 base + " + (w1*Y + u*w1*Z)^2 + v3*Y*Z^2 + u*(v3 + u^2)*Z^3"
                 " + v5*Y*Z^3 + v6*Z^4",
                 ("w1", "u", "v3", "v5", "v6"),
                 side_conditions=("w1", "u", "4*w1^2*(v6 - u*v5) - (v3 + 3*u^2)^2")),
-        Stratum("V0^2", SingularityClass("D", 4), 4, ("v0", "v1", "v2"),
+        Stratum("V0^2", SingularityClass("D", 4), ("v0", "v1", "v2"),
                 base + " + v3*Y*Z^2 + v4*Z^3 + v5*Y*Z^3 + v6*Z^4",
                 ("v3", "v4", "v5", "v6"),
                 side_conditions=("4*v3^3 + 27*v4^2",)),
-        Stratum("V&V0^2", SingularityClass("D", 5), 5,
+        Stratum("V&V0^2", SingularityClass("D", 5),
                 ("v0", "v1", "v2", "4*v3^3 + 27*v4^2"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3 + v5*Y*Z^3 + v6*Z^4",
                 ("a", "v5", "v6"),
                 side_conditions=("a", "v6 - a*v5")),
-        Stratum("V0^4", SingularityClass("E", 6), 6,
+        Stratum("V0^4", SingularityClass("E", 6),
                 ("v0", "v1", "v2", "v3", "v4"),
                 base + " + v5*Y*Z^3 + v6*Z^4", ("v5", "v6"),
                 side_conditions=("v6",)),
-        Stratum("V0^4&V6", SingularityClass("E", 7), 7,
+        Stratum("V0^4&V6", SingularityClass("E", 7),
                 ("v0", "v1", "v2", "v3", "v4", "v6"),
                 base + " + v5*Y*Z^3", ("v5",), side_conditions=("v5",)),
-        Stratum("V'&V0^2", SingularityClass("D", 6), 6,
+        Stratum("V'&V0^2", SingularityClass("D", 6),
                 ("v0", "v1", "v2", "v3*v5^2 + 3*v6^2", "v4*v5^3 + 2*v6^3"),
                 base + " - 3*a^2*Y*Z^2 - 2*a^3*Z^3 + v5*Y*Z^3 + a*v5*Z^4",
                 ("a", "v5"),
                 side_conditions=("a", "v5", "12*a + v5^2")),
-        Stratum("V''&V0^2", SingularityClass("D", 7), 7,
+        Stratum("V''&V0^2", SingularityClass("D", 7),
                 ("v0", "v1", "v2", "v3*v5^2 + 3*v6^2", "v4*v5^3 + 2*v6^3",
                  "12*v6 + v5^3"),
                 base + " - 1/48*v5^4*Y*Z^2 + 1/864*v5^6*Z^3 + v5*Y*Z^3"
                 " - 1/12*v5^3*Z^4",
                 ("v5",), side_conditions=("v5",)),
-        Stratum("W2~4", SingularityClass("A", 4), 4, (w2, w3, w4),
+        Stratum("W2~4", SingularityClass("A", 4), (_W2, _W3, w4),
                 base + " + (w1*Y + u*w1*Z)^2 + (2*t*w1 - 3*u^2)*Y*Z^2"
                 " + u*(2*t*w1 - 2*u^2)*Z^3 + v5*Y*Z^3 + (t^2 + u*v5)*Z^4",
                 ("w1", "u", "t", "v5"),
                 side_conditions=("w1", "u", "t", "w1^2 - t*w1*v5 - 3*u*t^2")),
-        Stratum("W2~5", SingularityClass("A", 5), 5, (w2, w3, w4, w5),
+        Stratum("W2~5", SingularityClass("A", 5), (_W2, _W3, w4, w5),
                 a5_family, ("t", "b", "v5"),
                 side_conditions=("t", "v5 - b", "v5 + b",
                                  "b^3 - b^2*v5 - 8*t^2")),
-        Stratum("W2~6", SingularityClass("A", 6), 6, (w2, w3, w4, w5, w6),
+        Stratum("W2~6", SingularityClass("A", 6), (_W2, _W3, w4, w5, w6),
                 a6_family, ("b", "c"),
                 side_conditions=("b", "c", "b + 8*c^2", "b + 16*c^2",
                                  "b - 4*c^2")),
-        Stratum("W2~7", SingularityClass("A", 7), 7, (w2, w3, w4, w5, w6, w7),
+        Stratum("W2~7", SingularityClass("A", 7), (_W2, _W3, w4, w5, w6, w7),
                 base + " + (32*c^5*Y - 512*c^9*Z)^2 - 1280*c^8*Y*Z^2"
                 " + 16384*c^12*Z^3 - 16*c^2*Y*Z^3 + 320*c^6*Z^4",
                 ("c",), side_conditions=("c",)),

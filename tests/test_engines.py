@@ -376,7 +376,7 @@ def seed_sets(draw):
                                      neg_grevlex(), neg_lex()]))
 def test_completion_leading_monomials_are_distinct(seed, order):
     try:
-        basis = _completion(seed, order, _Budget(3000))
+        basis = _completion(seed, order, _Budget(3000), order.classify(2))
     except StepBudgetExceeded:
         assume(False)
     lms = [p.leading_monomial(order) for p in basis]
@@ -387,13 +387,15 @@ def test_completion_leading_monomials_are_distinct(seed, order):
     (grevlex(), "_reduce_full"), (weighted((1, 2), grevlex()), "_reduce_full"),
     (neg_grevlex(), "_weak_nf"), (neg_lex(), "_weak_nf")], ids=str)
 def test_completion_picks_the_reducer_by_order_class(monkeypatch, order, reducer):
-    # both reducers are looked up on the module, where a tracer replaces them
+    # the completion takes the class its caller checked; both reducers are
+    # looked up on the module, where a tracer replaces them
+    engine = buchberger if reducer == "_reduce_full" else standard_basis
     called = set()
     for name in ("_reduce_full", "_weak_nf"):
         real = getattr(engines, name)
         monkeypatch.setattr(engines, name, lambda *a, name=name, real=real:
                             called.add(name) or real(*a))
     f = P("x^3 + y^4 + x*y^2", XY)
-    _completion([f, f.partial_derivative(0), f.partial_derivative(1)], order,
-                _Budget(200))
+    engine(PolySet([f, f.partial_derivative(0), f.partial_derivative(1)], order),
+           step_budget=200)
     assert called == {reducer}

@@ -1,18 +1,23 @@
 """The six invariant pipelines and their bookkeeping helpers."""
 
+import ast
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from localstd import (Monomial, NonIsolatedError, OrderClassError,
-                      StepBudgetExceeded, VarCtx, grevlex, is_zero_dimensional,
-                      jacobian_ideal, leading_coefficients, lex, milnor_fused,
-                      milnor_global, milnor_local, neg_grevlex, neg_lex,
-                      parse_poly, quotient_basis, special_adjacency_family,
+import localstd
+from localstd import (Monomial, MonomialOrder, NonIsolatedError, OrderClass,
+                      OrderClassError, PolySet, StepBudgetExceeded, VarCtx,
+                      buchberger, grevlex, is_zero_dimensional, jacobian_ideal,
+                      leading_coefficients, lex, milnor_fused, milnor_global,
+                      milnor_local, neg_grevlex, neg_lex, parse_poly,
+                      quotient_basis, special_adjacency_family, standard_basis,
                       tyurina_fused, tyurina_global, tyurina_ideal,
                       tyurina_local)
+from localstd.engines import _Budget, _completion
 
 
 def P(src, variables="x,y", params=""):
@@ -381,6 +386,46 @@ def test_fused_order_guards():
         milnor_fused(f, local_order=grevlex())
     with pytest.raises(OrderClassError):
         tyurina_fused(f, global_order=neg_grevlex())
+
+
+@pytest.mark.parametrize("explicit", [False, True])
+def test_each_run_classifies_its_order_once(monkeypatch, explicit):
+    # the class of the order is checked in _basis and handed to the
+    # completion; a fused run checks both orders up front as well
+    calls = []
+    real = MonomialOrder.classify
+    monkeypatch.setattr(MonomialOrder, "classify",
+                        lambda self, arity: calls.append(self) or real(self, arity))
+    f = P("x^3 + y^4 + x*y^2")
+    runs = [(milnor_local, neg_lex()), (tyurina_local, neg_grevlex()),
+            (milnor_global, lex()), (tyurina_global, grevlex())]
+    for run, order in runs:
+        calls.clear()
+        run(f, order if explicit else None)
+        assert len(calls) == 1, run.__name__
+    for engine, order in [(buchberger, grevlex()), (standard_basis, neg_lex())]:
+        calls.clear()
+        engine(PolySet(jacobian_ideal(f), order))
+        assert len(calls) == 1, engine.__name__
+    for fused in (milnor_fused, tyurina_fused):
+        calls.clear()
+        fused(f, *((neg_grevlex(), grevlex()) if explicit else ()))
+        assert len(calls) == (4 if explicit else 2), fused.__name__
+    calls.clear()
+    _completion(jacobian_ideal(f), neg_grevlex(), _Budget(None), OrderClass.LOCAL)
+    assert calls == []
+
+
+def test_only_basis_normal_form_and_fused_check_the_class():
+    callers = set()
+    for path in Path(localstd.__file__).parent.glob("*.py"):
+        for fn in ast.walk(ast.parse(path.read_text())):
+            if isinstance(fn, ast.FunctionDef) and any(
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", None) == "_require_class"
+                    for node in ast.walk(fn)):
+                callers.add(fn.name)
+    assert callers == {"_basis", "normal_form", "_fused"}
 
 
 # ---------------------------------------------------------------------------

@@ -65,6 +65,20 @@ def test_parse_reports_column():
     with pytest.raises(ParseError) as err:
         P("x + ?")
     assert "column 5" in str(err.value)
+    for src, message in [
+            ("(x", "expected ), found 'end of input' (column 3)"),
+            ("x^2^3", "chained exponent; use parentheses (column 4)"),
+            ("1/0", "zero denominator (column 3)"),
+            # str.isdigit holds for superscripts, which int() rejects
+            ("x^\u00b2", "unexpected character '\u00b2' (column 3)")]:
+        with pytest.raises(ParseError) as err:
+            P(src)
+        assert str(err.value) == message
+
+
+def test_parse_reads_every_decimal_digit():
+    # int() reads the decimal digits of every script
+    assert P("x^\u0663") == P("x^3")
 
 
 def test_print_parse_round_trip():
@@ -188,6 +202,12 @@ def test_cli_parse_error_exit_2(capsys):
     assert main(["milnor", "--vars", "x,y", "x + undeclared"]) == 2
     assert main(["parse", "--vars", "x,y", ""]) == 2
     capsys.readouterr()
+    assert main(["milnor", "--vars", "x,y", "x^\u00b2+y^3"]) == 2
+    assert capsys.readouterr().err == \
+        "localstd: parse error: unexpected character '\u00b2' (column 3)\n"
+    assert main(["milnor", "--vars", "x,y"]) == 2
+    assert capsys.readouterr().err == \
+        "localstd: parse error: no polynomial given (positional or --file) (column 1)\n"
 
 
 def test_cli_budget_exit_5(capsys):

@@ -12,9 +12,10 @@ from hypothesis import strategies as st
 from localstd import (CoeffField, Monomial, Poly, SingularityClass, VarCtx,
                       WeightVector, ade_normal_form, adjacency_target,
                       build_versal_family, classify_simple, hessian_corank,
-                      milnor_local, milnor_orlik, parse_poly, sample_witness,
-                      special_adjacency_family, stratum_catalog,
-                      tyurina_local, verify_stratum, weight_vector)
+                      milnor_local, milnor_orlik, neg_grevlex, neg_lex,
+                      parse_poly, sample_witness, special_adjacency_family,
+                      stratum_catalog, tyurina_local, verify_stratum,
+                      weight_vector)
 from localstd.singularities import _hessian_kernel
 
 
@@ -46,6 +47,14 @@ def test_class_validation():
         SingularityClass("E", 9)
     with pytest.raises(ValueError):
         SingularityClass("B", 2)
+
+
+def test_class_parse_takes_a_letter_and_decimal_digits():
+    assert C(" e6 ") == SingularityClass("E", 6)
+    for text in ("Ax", "A+1", "A 1", "A1_0"):
+        with pytest.raises(ValueError) as err:
+            C(text)
+        assert str(err.value) == "bad singularity class %r" % text.upper()
 
 
 # ---------------------------------------------------------------------------
@@ -268,6 +277,16 @@ def test_versal_family_e6_basis():
     assert {m.to_str(("y", "z")) for m in fam.monomials} == \
         {"y*z^2", "z^2", "y*z", "z", "y", "1"}
     assert fam.tyurina_number == 6
+
+
+def test_versal_family_monomials_descend_under_the_order():
+    # ascending degree under neg_grevlex only; 1 comes first under both
+    f = P("x^3 + y^4")
+    for order, want in [(neg_grevlex(), ["1", "y", "x", "y^2", "x*y", "x*y^2"]),
+                        (neg_lex(), ["1", "y", "y^2", "x", "x*y", "x*y^2"])]:
+        fam = build_versal_family(f, order)
+        assert [m.to_str(("x", "y")) for m in fam.monomials] == want
+        assert fam.parameters[0] == "lam0"
 
 
 def test_versal_family_smooth_is_empty():
