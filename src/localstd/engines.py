@@ -4,9 +4,8 @@ Every basis comes from one pair completion, ``_completion``, and the class of
 the order picks its reducer: full division (``_reduce_full``) under a global
 order, Mora's weak normal form (``_weak_nf``) under a local one
 (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 1.6-1.7).
-``buchberger``, ``standard_basis`` and the invariant pipelines all run
-``_basis`` on one ``_Budget``; it checks the class of the order once, with
-``_require_class``, and hands the class it checked to the completion.
+``buchberger``, ``standard_basis`` and the invariant pipelines run ``_basis``
+on one ``_Budget``; it checks the class once, with ``_require_class``.
 
 Both reducers work fraction-free: ``_spoly`` cross-multiplies leading
 coefficients instead of dividing, for pairs and for every reduction step of

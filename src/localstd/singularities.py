@@ -276,13 +276,11 @@ def build_versal_family(f: Poly, order: Optional[MonomialOrder] = None) -> Defor
     """Deform by the Tyurina quotient basis, one fresh parameter each.
 
     Parameters pair with the quotient monomials descending under the local
-    order, which is ascending degree only under neg_grevlex.  1 is the
-    largest monomial of every local order, so lam0 multiplies 1 whenever the
-    ideal is not the unit ideal.
+    order (ascending degree only under neg_grevlex), so lam0 multiplies 1,
+    the largest local monomial, whenever the ideal is not the unit ideal.
     """
     report = tyurina_local(f, order)
-    monoms = list(report.quotient_basis)
-    monoms.reverse()  # the quotient basis ascends under the order
+    monoms = report.quotient_basis[::-1]  # quotient_basis ascends under the order
     taken = set(f.ctx.variables) | set(f.ctx.parameters)
     names = []
     for i in range(len(monoms)):
@@ -295,7 +293,7 @@ def build_versal_family(f: Poly, order: Optional[MonomialOrder] = None) -> Defor
     fam = f.convert_to(new_ctx)
     for name, m in zip(names, monoms):
         fam = fam + Poly(new_ctx, {m: new_ctx.field.param(name)})
-    return DeformationFamily(base=f, monomials=tuple(monoms),
+    return DeformationFamily(base=f, monomials=monoms,
                              parameters=tuple(names), family=fam)
 
 
@@ -390,8 +388,7 @@ class StratumVerification:
         }
 
 
-# the equation of W2 in the D and E catalogs, and the second one of W2^3 in
-# the E catalogs
+# the equation of W2 (D and E catalogs) and the second one of W2^3 (E catalogs)
 _W2 = "v0^2 - 4*v1*v2"
 _W3 = "v1^3*v4^2 - v2*(v1*v3 + v2)^2"
 
