@@ -394,12 +394,6 @@ class CoeffField:
                                   self._ring_one, self)
                       for k, name in enumerate(self.params)}
 
-    def __eq__(self, other):
-        return isinstance(other, CoeffField) and self.params == other.params
-
-    def __hash__(self):
-        return hash(self.params)
-
     def __repr__(self):
         if not self.params:
             return "Q"
@@ -594,19 +588,8 @@ class CoeffField:
         if not p:
             return "0"
         terms = sorted(p.items(), key=lambda t: (sum(t[0]), t[0]), reverse=True)
-        parts = []
-        for exps, a in terms:
-            coef = Fraction(a, den)
-            mon = power_product_str(self.params, exps)
-            if not mon:
-                parts.append(_frac_str(coef))
-            elif coef == 1:
-                parts.append(mon)
-            elif coef == -1:
-                parts.append("-" + mon)
-            else:
-                parts.append("%s*%s" % (_frac_str(coef), mon))
-        return join_terms(parts)
+        return join_terms([term_str(_frac_str(Fraction(a, den)),
+                                    power_product_str(self.params, e)) for e, a in terms])
 
 
 def _frac_str(q: Fraction) -> str:
@@ -616,6 +599,18 @@ def _frac_str(q: Fraction) -> str:
 def power_product_str(names, exps) -> str:
     """The power product of names with exponents exps; "" when all are 0."""
     return "*".join(n if e == 1 else "%s^%d" % (n, e) for n, e in zip(names, exps) if e)
+
+
+def term_str(cs: str, ms: str) -> str:
+    """The term with printed coefficient cs and power product ms ("" for 1).
+    A coefficient of 1 or -1 leaves its sign alone before a power product,
+    and a compound one (a sign or space past its first character) goes in
+    parentheses."""
+    if ms and cs in ("1", "-1"):
+        return cs[:-1] + ms
+    if any(ch in " +-" for ch in cs[cs.startswith("-"):]):
+        cs = "(%s)" % cs
+    return "%s*%s" % (cs, ms) if ms else cs
 
 
 def join_terms(parts) -> str:

@@ -355,7 +355,8 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, budget: _Budget,
     corner and records the leading coefficients that certify it on the
     budget; see the module docstring.
     The corner is recomputed only before a pair is reduced, and only after a
-    leading monomial of degree below it has arrived."""
+    new element has arrived; once the corner is set, every new element comes
+    from a reduction truncated at it, so its leading monomial lies below it."""
     f: list[Poly] = []
     lm: list[Monomial] = []
     G: set[int] = set()
@@ -373,8 +374,7 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, budget: _Budget,
         nonlocal G, P, stale
         f.append(p)
         lm.append(p.leading_monomial(order))
-        if truncating and (budget.corner is None or lm[-1].degree < budget.corner):
-            stale = True
+        stale = truncating
         G, P = _update(G, P, len(f) - 1, lm)
 
     def refresh_corner():

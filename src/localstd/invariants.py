@@ -78,9 +78,7 @@ def jacobian_ideal(f: Poly) -> list[Poly]:
 
 
 def tyurina_ideal(f: Poly) -> list[Poly]:
-    gens = [f] if not f.is_zero() else []
-    gens.extend(jacobian_ideal(f))
-    return gens
+    return [f, *jacobian_ideal(f)]
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,7 @@
 
 Grammar (explicit multiplication only, non-negative integer exponents):
 
-    expr   := term (('+' | '-') term)*
+    expr   := '+'? term (('+' | '-') term)*
     term   := factor ('*' factor)*
     factor := '-'* base ('^' INT)?
     base   := INT ('/' INT)? | NAME | '(' expr ')'
@@ -91,14 +91,9 @@ class _Parser:
         return p
 
     def expr(self) -> Poly:
-        sign = 1
-        tok = self.peek()
-        if tok[0] in ("+", "-"):
+        if self.peek()[0] == "+":
             self.next()
-            sign = -1 if tok[0] == "-" else 1
         p = self.term()
-        if sign < 0:
-            p = -p
         while self.peek()[0] in ("+", "-"):
             op = self.next()[0]
             q = self.term()

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterable, Mapping
 
-from .coeffs import CoeffField, join_terms, power_product_str
+from .coeffs import CoeffField, join_terms, power_product_str, term_str
 from .orders import DEFAULT_ORDERS, OrderClass
 
 _DEFAULT_ORDER = DEFAULT_ORDERS[OrderClass.GLOBAL]
@@ -52,8 +52,8 @@ class Monomial(tuple):
         return Monomial((0,) * arity)
 
     @staticmethod
-    def var(i: int, arity: int, power: int = 1) -> "Monomial":
-        return Monomial(power if j == i else 0 for j in range(arity))
+    def var(i: int, arity: int) -> "Monomial":
+        return Monomial(1 if j == i else 0 for j in range(arity))
 
     def to_str(self, variables) -> str:
         return power_product_str(variables, self) or "1"
@@ -144,12 +144,11 @@ class Poly:
     No code changes the term dict after construction, so the leading term is
     cached with the order object it was last asked under."""
 
-    __slots__ = ("ctx", "_t", "_hash", "_lead")
+    __slots__ = ("ctx", "_t", "_lead")
 
     def __init__(self, ctx: VarCtx, terms: dict):
         self.ctx = ctx
         self._t = terms
-        self._hash = None
         self._lead = None
 
     # -- basic views -----------------------------------------------------
@@ -201,9 +200,7 @@ class Poly:
         return self.ctx == other.ctx and self._t == other._t
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.ctx, frozenset(self._t.items())))
-        return self._hash
+        return hash((self.ctx, frozenset(self._t.items())))
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -374,23 +371,9 @@ class Poly:
     def to_str(self, order=None) -> str:
         if not self._t:
             return "0"
-        f = self.ctx.field
-        parts = []
-        for c, m in self.terms(order):
-            cs = f.to_str(c)
-            ms = m.to_str(self.ctx.variables)
-            if m.degree == 0:
-                frag = cs if _is_simple_coeff(cs) else "(%s)" % cs
-            elif cs == "1":
-                frag = ms
-            elif cs == "-1":
-                frag = "-" + ms
-            elif _is_simple_coeff(cs):
-                frag = "%s*%s" % (cs, ms)
-            else:
-                frag = "(%s)*%s" % (cs, ms)
-            parts.append(frag)
-        return join_terms(parts)
+        f, names = self.ctx.field, self.ctx.variables
+        return join_terms([term_str(f.to_str(c), power_product_str(names, m))
+                           for c, m in self.terms(order)])
 
     def __str__(self):
         return self.to_str()
@@ -398,8 +381,3 @@ class Poly:
     def __repr__(self):
         return "Poly(%s)" % self.to_str()
 
-
-def _is_simple_coeff(cs: str) -> bool:
-    """True when the printed coefficient needs no parentheses as a factor."""
-    core = cs[1:] if cs.startswith("-") else cs
-    return all(ch not in " +-" for ch in core)

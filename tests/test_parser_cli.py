@@ -59,6 +59,9 @@ def test_parse_rejects_implicit_multiplication():
 
 def test_parse_unary_minus_binds_below_power():
     assert P("-x^2", "x") == P("0 - x^2", "x")
+    for src, want in [("--x", "x"), ("+x", "x"), ("+-x", "0 - x"),
+                      ("x*-y", "0 - x*y"), ("-(x + y)^2", "0 - (x + y)^2")]:
+        assert P(src) == P(want), src
 
 
 def test_parse_reports_column():
@@ -69,6 +72,7 @@ def test_parse_reports_column():
             ("(x", "expected ), found 'end of input' (column 3)"),
             ("x^2^3", "chained exponent; use parentheses (column 4)"),
             ("1/0", "zero denominator (column 3)"),
+            ("-", "unexpected 'end of input' (column 2)"),
             # str.isdigit holds for superscripts, which int() rejects
             ("x^\u00b2", "unexpected character '\u00b2' (column 3)")]:
         with pytest.raises(ParseError) as err:
@@ -94,6 +98,31 @@ def test_print_parse_round_trip():
         p = P(src, variables, params)
         for order in (grevlex(), neg_grevlex()):
             assert P(p.to_str(order), variables, params) == p
+
+
+_QT = VarCtx(["x", "y"], ["t"])
+_T = _QT.field.param("t")
+
+
+@pytest.mark.parametrize("value, want", [
+    (P("x*y - y"), "x*y - y"),
+    (P("1/2*x - 1"), "1/2*x - 1"),
+    (P("(1 - 4*t)*y^3 + 3*x", "x,y", "t"), "(-4*t + 1)*y^3 + 3*x"),
+    (P("-(t + 1)*x", "x,y", "t"), "(-t - 1)*x"),
+    (P("x - t*y + t - 1", "x,y", "t"), "x - t*y + (t - 1)"),
+    (P("x", "x,y", "t").scale(1 / (_T + 1)), "((1)/(t + 1))*x"),
+    (P("x", "x,y", "t").scale(1 / _T), "(1)/(t)*x"),
+    (P("x", "x,y", "t").scale(-1 / _T), "((-1)/(t))*x"),
+    (_T * _T - _T + Fraction(1, 2), "t^2 - t + 1/2"),
+    (_T * Fraction(-3, 2), "-3/2*t"),
+    ((_T - 1) / (_T + 1), "(t - 1)/(t + 1)"),
+], ids=["one-and-minus-one", "rational", "compound", "negative-compound",
+        "compound-constant", "quotient-of-sum", "quotient", "signed-quotient",
+        "field-sum", "field-rational", "field-quotient"])
+def test_terms_print_their_coefficients(value, want):
+    # the spelling coeffs.term_str gives both printers
+    got = _QT.field.to_str(value) if isinstance(value, coeffs._Frac) else value.to_str()
+    assert got == want
 
 
 def test_parse_bound_name_is_its_constant():

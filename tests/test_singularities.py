@@ -147,7 +147,7 @@ def test_classify_round_trip_up_to_index_10():
 def _from_hessian(ctx, H):
     """The quadratic form whose Hessian is the rational matrix H."""
     n = len(H)
-    return Poly(ctx, {Monomial.var(i, n, 1).mul(Monomial.var(j, n, 1)):
+    return Poly(ctx, {Monomial.var(i, n).mul(Monomial.var(j, n)):
                       ctx.field.from_fraction(H[i][j] / 2 if i == j else H[i][j])
                       for i in range(n) for j in range(i, n) if H[i][j]})
 
@@ -452,6 +452,60 @@ def test_v_point_examples():
         ("v0", "-32768*c^14"), ("v1", "1024*c^10"), ("v2", "262144*c^18"),
         ("v3", "-1280*c^8"), ("v4", "16384*c^12"), ("v5", "-16*c^2"),
         ("v6", "320*c^6"))
+
+
+def _adjacent_below(name):
+    """The classes Arnol'd's simple singularities deform to directly."""
+    kind, k = name[0], int(name[1:])
+    if kind == "A":
+        return ["A%d" % (k - 1)] if k > 1 else []
+    if kind == "D":
+        return ["A3"] if k == 4 else ["D%d" % (k - 1), "A%d" % (k - 1)]
+    return {"E6": ["D5", "A5"], "E7": ["E6", "D6", "A6"], "E8": ["E7", "D7", "A7"]}[name]
+
+
+def _adjacency_closure(name):
+    out, todo = set(), _adjacent_below(name)
+    while todo:
+        x = todo.pop()
+        if x not in out:
+            out.add(x)
+            todo.extend(_adjacent_below(x))
+    return out
+
+
+# (catalog, T, S) with T inside S although S's class is not adjacent to T's:
+# each a corank-2 stratum inside an A_k stratum
+_OVER_INCLUSIONS = {
+    ("E6", "V0^2", "W2^4"),
+    *(("E7", t, s) for t, s in [
+        ("V0^2", "W2~4"), ("V0^2", "W2~5"), ("V0^2", "W2~5'"), ("V0^2", "W2~6"),
+        ("V&V0^2", "W2~5"), ("V&V0^2", "W2~5'"), ("V&V0^2", "W2~6"),
+        ("V0^4", "W2~6"), ("V'&V0^2", "W2~6")]),
+    *(("E8", t, s) for t, s in [
+        ("V0^2", "W2~4"), ("V0^2", "W2~5"), ("V0^2", "W2~6"), ("V0^2", "W2~7"),
+        ("V&V0^2", "W2~5"), ("V&V0^2", "W2~6"), ("V&V0^2", "W2~7"),
+        ("V0^4", "W2~6"), ("V0^4", "W2~7"), ("V0^4&V6", "W2~7"),
+        ("V'&V0^2", "W2~6"), ("V'&V0^2", "W2~7"), ("V''&V0^2", "W2~7")]),
+}
+
+
+def test_inclusion_of_strata_witnesses_adjacency():
+    # T lies inside S when every equation of S vanishes at T's v_point
+    over = set()
+    for name in _CATALOG_CLASSES:
+        cat = stratum_catalog(C(name))
+        classes = {s.expected.name for s in cat}
+        for t in cat:
+            if not t.v_point:
+                continue
+            below = _adjacency_closure(t.expected.name)
+            inside = [s for s in cat if not any(_at_v_point(eq, t) for eq in s.equations)]
+            for x in below & classes:
+                assert any(s.expected.name == x for s in inside), (name, t.name, x)
+            over |= {(name, t.name, s.name) for s in inside
+                     if s.expected != t.expected and s.expected.name not in below}
+    assert over == _OVER_INCLUSIONS
 
 
 # ---------------------------------------------------------------------------
