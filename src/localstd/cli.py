@@ -265,6 +265,7 @@ def _cmd_milnor_orlik(args):
     if w is None:
         sys.stderr.write("localstd: polynomial is not weighted homogeneous\n")
         return EXIT_ERROR
+    milnor_local(f)  # raises NonIsolatedError, where the formula does not hold
     mu = milnor_orlik(w)
     payload = {"weights": [str(x) for x in w.weights], "mu": str(mu)}
     _emit(args, payload,
@@ -297,8 +298,12 @@ def _cmd_verify_stratum(args):
     if args.witness:
         witness = {}
         for chunk in args.witness.split(","):
-            name, _, val = chunk.partition("=")
-            witness[name.strip()] = Fraction(val)
+            name, eq, val = chunk.partition("=")
+            name = name.strip()
+            if not eq or name in witness:
+                raise ValueError("bad witness entry %r: want name=value, "
+                                 "each name once" % chunk)
+            witness[name] = Fraction(val)
     else:
         witness = sample_witness(stratum, random.Random(args.seed))
     rec = verify_stratum(cls, stratum, witness)

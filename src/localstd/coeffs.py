@@ -280,6 +280,20 @@ def _balanced_digits(a: int, x: int):
         i += 1
 
 
+def power(x, k: int, one):
+    """x^k by repeated squaring, one being the unit of x's ring."""
+    if k < 0:
+        raise ValueError("negative power")
+    out = one
+    while k:
+        if k & 1:
+            out = out * x
+        k >>= 1
+        if k:
+            x = x * x
+    return out
+
+
 class _Frac:
     """An element numer/denom of Q(params), in the canonical form of the
     module docstring."""
@@ -357,16 +371,7 @@ class _Frac:
         return self.field.one / self * other
 
     def __pow__(self, k: int):
-        if k < 0:
-            raise ValueError("negative power")
-        out, base = self.field.one, self
-        while k:
-            if k & 1:
-                out = out * base
-            k >>= 1
-            if k:
-                base = base * base
-        return out
+        return power(self, k, self.field.one)
 
 
 class CoeffField:
@@ -520,10 +525,9 @@ class CoeffField:
         return None if g == 1 else [c // g for c in coeffs]
 
     def canonical_assumption(self, c):
-        """Canonical representative of the vanishing locus of c: the integer
-        primitive, sign-normalized numerator polynomial."""
-        if not self.params:
-            return self.one
+        """Canonical representative of the vanishing locus of c, a
+        nonconstant element: the integer primitive, sign-normalized numerator
+        polynomial."""
         num = c.numer
         g = num.content()
         if num.LC < 0:
@@ -539,8 +543,6 @@ class CoeffField:
         parameters must be exactly the parameters of target.  Raises
         ZeroDivisionError when the denominator vanishes under the assignment.
         """
-        if not self.params:
-            return target.from_fraction(self.as_fraction(c))
         point = {i: values[name] for i, name in enumerate(self.params) if name in values}
         num, den = c.numer.evaluate(point), c.denom.evaluate(point)
         if not den:

@@ -12,7 +12,7 @@ from fractions import Fraction
 from operator import add, le, sub
 from typing import Iterable, Mapping
 
-from .coeffs import CoeffField, join_terms, power_product_str, term_str
+from .coeffs import CoeffField, join_terms, power, power_product_str, term_str
 from .orders import DEFAULT_ORDERS, OrderClass
 
 _DEFAULT_ORDER = DEFAULT_ORDERS[OrderClass.GLOBAL]
@@ -246,16 +246,7 @@ class Poly:
         return Poly(self.ctx, t)
 
     def __pow__(self, n: int) -> "Poly":
-        if n < 0:
-            raise ValueError("negative power")
-        out = self.ctx.one()
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return out
+        return power(self, n, self.ctx.one())
 
     def scale(self, c) -> "Poly":
         """Multiply by a coefficient-field element."""

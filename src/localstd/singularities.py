@@ -66,23 +66,12 @@ class WeightVector:
 # normal forms
 # ---------------------------------------------------------------------------
 
-def _ambient(core: str, ambient_dim: int, params: tuple[str, ...] = ()) -> Poly:
-    """Parse core, a polynomial in y and z, plus a square of every other of
-    ambient_dim variables, over those variables and params.  Two to four
-    variables are named y, z; x, y, z; x, y, z, t; other counts, and counts
-    whose short names clash with a parameter, are named x1, ..., y, z."""
+def normal_form(cls: SingularityClass, ambient_dim: int = 2) -> Poly:
+    """The A/D/E polynomial in two distinguished variables y, z plus a square
+    of every other of ambient_dim variables.  Two to four variables are named
+    y, z; x, y, z; x, y, z, t; other counts are named x1, ..., y, z."""
     if ambient_dim < 2:
         raise ValueError("need at least two variables")
-    names = {2: ("y", "z"), 3: ("x", "y", "z"), 4: ("x", "y", "z", "t")}.get(ambient_dim)
-    if names is None or set(names) & set(params):
-        names = tuple("x%d" % i for i in range(1, ambient_dim - 1)) + ("y", "z")
-    squares = "".join(" + %s^2" % v for v in names if v not in ("y", "z"))
-    return parse_poly(core + squares, VarCtx(names, params))
-
-
-def normal_form(cls: SingularityClass, ambient_dim: int = 2) -> Poly:
-    """The A/D/E polynomial in two distinguished variables plus a sum of
-    squares in the remaining ones."""
     n = cls.index
     if cls.family == "A":
         core = "y^2 + z^%d" % (n + 1)
@@ -90,7 +79,11 @@ def normal_form(cls: SingularityClass, ambient_dim: int = 2) -> Poly:
         core = "y^2*z + z^%d" % (n - 1)
     else:
         core = {6: "y^3 + z^4", 7: "y^3 + y*z^3", 8: "y^3 + z^5"}[n]
-    return _ambient(core, ambient_dim)
+    names = {2: ("y", "z"), 3: ("x", "y", "z"), 4: ("x", "y", "z", "t")}.get(ambient_dim)
+    if names is None:
+        names = tuple("x%d" % i for i in range(1, ambient_dim - 1)) + ("y", "z")
+    squares = "".join(" + %s^2" % v for v in names if v not in ("y", "z"))
+    return parse_poly(core + squares, VarCtx(names))
 
 
 # ---------------------------------------------------------------------------
@@ -158,7 +151,8 @@ def weight_vector(f: Poly) -> Optional[WeightVector]:
 
 
 def milnor_orlik(w: WeightVector) -> Fraction:
-    """Product of (1/w_i - 1); weights must lie strictly inside (0, 1)."""
+    """Product of (1/w_i - 1); weights must lie strictly inside (0, 1).  The
+    formula gives the Milnor number only of an isolated singularity."""
     out = Fraction(1)
     for wi in w.weights:
         if not 0 < wi < 1:
@@ -262,7 +256,6 @@ _VERSAL_PREFIX = "lam"
 
 @dataclass(frozen=True)
 class DeformationFamily:
-    base: Poly
     monomials: tuple[Monomial, ...]   # descending under the order; lam_i multiplies monomials[i]
     parameters: tuple[str, ...]
     family: Poly
@@ -293,8 +286,7 @@ def build_versal_family(f: Poly, order: Optional[MonomialOrder] = None) -> Defor
     fam = f.convert_to(new_ctx)
     for name, m in zip(names, monoms):
         fam = fam + Poly(new_ctx, {m: new_ctx.field.param(name)})
-    return DeformationFamily(base=f, monomials=monoms,
-                             parameters=tuple(names), family=fam)
+    return DeformationFamily(monomials=monoms, parameters=tuple(names), family=fam)
 
 
 # ---------------------------------------------------------------------------
@@ -796,18 +788,16 @@ def _adjacency(kind: str, n: Optional[int]) -> tuple[SingularityClass, str]:
     return SingularityClass("A", n - 1), _a_from_d(n)
 
 
-def special_adjacency_family(kind: str, n: Optional[int] = None,
-                             ambient_dim: int = 2) -> Poly:
+def special_adjacency_family(kind: str, n: Optional[int] = None) -> Poly:
     """The 1-parameter deformation realizing one of the special adjacencies,
-    as a polynomial over parameter t; suspension squares fill the remaining
-    ambient variables.
+    as a plane curve in y, z over parameter t.
 
     The even A_{n-1} <- D_n family natively carries the imaginary unit; it is
     returned composed with the rational linear change (y,z) -> (iy,-z), which
     preserves Milnor/Tyurina numbers, corank and class (the base polynomial
     then reads y^2*z - z^(n-1)).
     """
-    return _ambient(_adjacency(kind, n)[1], ambient_dim, ("t",))
+    return parse_poly(_adjacency(kind, n)[1], VarCtx(("y", "z"), ("t",)))
 
 
 def adjacency_target(kind: str, n: Optional[int] = None) -> SingularityClass:

@@ -184,6 +184,16 @@ def test_product_with_zero():
     assert f * 0 == 0 and type(f * _ZPoly()) is _ZPoly
 
 
+def test_powers_reject_negative_exponents():
+    # Poly and Q(t) elements share one repeated-squaring loop
+    x = parse_poly("x", VarCtx(("x",)))
+    t = QT.param("t")
+    for base, one in [(x, VarCtx(("x",)).one()), (t, QT.one)]:
+        assert base ** 0 == one
+        with pytest.raises(ValueError, match="negative power"):
+            base ** -1
+
+
 def sympy_to_str(c, names) -> str:
     """The printed form of a sympy FracField element, written from its
     numerator and denominator: terms by descending (degree, exponents),

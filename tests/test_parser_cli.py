@@ -361,6 +361,16 @@ def test_cli_milnor_orlik(capsys):
     capsys.readouterr()
 
 
+def test_cli_milnor_orlik_needs_an_isolated_singularity(capsys):
+    # weighted homogeneous, but the formula's mu would be finite
+    for variables, src in [("x,y", "x^2"), ("x,y", "x^2*y^2"), ("x,y,z", "x^2+y^3")]:
+        assert main(["milnor-orlik", "--vars", variables, src]) == 4
+        assert capsys.readouterr().err == \
+            "localstd: the critical point at the origin is not isolated\n"
+    assert main(["milnor-orlik", "--vars", "x,y", "x*y"]) == 0
+    assert "mu = 1" in capsys.readouterr().out
+
+
 def test_cli_strata_and_verify(capsys):
     rc = main(["strata", "D6", "--json"])
     assert rc == 0
@@ -375,6 +385,15 @@ def test_cli_strata_and_verify(capsys):
     rc = main(["verify-stratum", "E6", "W2", "--seed", "3", "--json"])
     assert rc == 0
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("witness", ["a", "a=2,a=3"])
+def test_cli_verify_stratum_rejects_a_bad_witness(witness, capsys):
+    # an entry without '=' or a name given twice
+    assert main(["verify-stratum", "E6", "V&V0^2", "--witness", witness]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("localstd: error: bad witness entry ")
+    assert repr(witness.split(",")[-1]) in err
 
 
 def test_cli_adjacency(capsys):

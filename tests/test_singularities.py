@@ -580,15 +580,6 @@ def test_adjacency_classification_samples():
             assert classify_simple(f, mu=mu) == target
 
 
-def test_adjacency_in_three_variables():
-    # and in four, where x, y, z, t would clash with the parameter t
-    for dim, names in [(3, ("x", "y", "z")), (4, ("x1", "x2", "y", "z"))]:
-        fam = special_adjacency_family("a5-from-e6", ambient_dim=dim)
-        assert fam.ctx.variables == names
-        f = fam.specialize_params({"t": Fraction(2)})
-        assert classify_simple(f) == C("A5")
-
-
 def test_adjacency_unknown_kind():
     # both functions reject the same inputs
     for kind, n in [("a9-from-e9", None), ("a-from-d", None), ("a-from-d", 3),
@@ -597,5 +588,5 @@ def test_adjacency_unknown_kind():
             special_adjacency_family(kind, n=n)
         with pytest.raises(ValueError):
             adjacency_target(kind, n=n)
-    with pytest.raises(ValueError):
-        special_adjacency_family("a5-from-e6", ambient_dim=1)
+    with pytest.raises(ValueError, match="need at least two variables"):
+        ade_normal_form(C("A1"), 1)
