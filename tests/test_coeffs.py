@@ -186,9 +186,8 @@ def test_product_with_zero():
 
 def test_powers_reject_negative_exponents():
     # Poly and Q(t) elements share one repeated-squaring loop
-    x = parse_poly("x", VarCtx(("x",)))
-    t = QT.param("t")
-    for base, one in [(x, VarCtx(("x",)).one()), (t, QT.one)]:
+    ctx = VarCtx(("x",))
+    for base, one in [(parse_poly("x", ctx), ctx.one()), (QT.param("t"), QT.one)]:
         assert base ** 0 == one
         with pytest.raises(ValueError, match="negative power"):
             base ** -1

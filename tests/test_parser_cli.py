@@ -362,7 +362,7 @@ def test_cli_milnor_orlik(capsys):
 
 
 def test_cli_milnor_orlik_needs_an_isolated_singularity(capsys):
-    # weighted homogeneous, but the formula's mu would be finite
+    # weighted homogeneous but not isolated: the formula would give a finite mu
     for variables, src in [("x,y", "x^2"), ("x,y", "x^2*y^2"), ("x,y,z", "x^2+y^3")]:
         assert main(["milnor-orlik", "--vars", variables, src]) == 4
         assert capsys.readouterr().err == \
