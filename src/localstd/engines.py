@@ -6,6 +6,8 @@ order, Mora's weak normal form (``_weak_nf``) under a local one
 (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 1.6-1.7).
 ``buchberger``, ``standard_basis`` and the invariant pipelines run ``_basis``
 on one ``_Budget``; it checks the class once, with ``_require_class``.
+``_completion`` returns the minimal basis, sorted by leading monomial, and
+``_basis`` only normalizes it.
 
 Both reducers work fraction-free: ``_spoly`` cross-multiplies leading
 coefficients instead of dividing, for pairs and for every reduction step of
@@ -181,8 +183,7 @@ def _spoly(f: Poly, g: Poly, order: MonomialOrder,
     cg, mg = g.leading_term(order)
     l = mf.lcm(mg)
     a = f if cg == 1 and l == mf else f.mul_term(cg, l.quo(mf))
-    b = g.mul_term(cf, l.quo(mg))
-    return _truncate(a - b, corner)
+    return _truncate(a + g.mul_term(-cf, l.quo(mg)), corner)
 
 
 def _truncate(p: Poly, corner: Optional[int]) -> Poly:
@@ -342,6 +343,11 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, budget: _Budget,
     full division when wanted, the class the caller checked the order to
     have, is global, and by Mora's weak normal form when it is local.
 
+    Returns the minimal basis, ascending by leading monomial, read off the
+    leading monomials of G: _update leaves them pairwise distinct, and a
+    reduced element's is a multiple of none in G, so only a seed can be a
+    proper multiple of another; such seeds are left out.
+
     Completion runs on ring coefficients: the seed is cleared of
     denominators, and the basis is returned over the field.  Content is
     removed where a polynomial is kept: every element is made primitive as
@@ -380,14 +386,14 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, budget: _Budget,
     def refresh_corner():
         # The standard monomials are enumerated in invariants (where the
         # benchmark profile counts them), which imports this module.
-        from .invariants import is_zero_dimensional, standard_monomials
+        from .invariants import standard_monomials
         nonlocal stale
         stale = False
-        leading = [lm[i] for i in G]
-        if not is_zero_dimensional(leading, arity):
+        staircase = standard_monomials([lm[i] for i in G], arity)
+        if staircase is None:
             return
         # no unit leads an element of G here, so 1 is a standard monomial
-        k = 1 + max(m.degree for m in standard_monomials(leading, arity))
+        k = 1 + max(m.degree for m in staircase)
         if k == budget.corner:
             return
         budget.corner = k
@@ -421,18 +427,9 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, budget: _Budget,
         if not h.is_zero():
             add(_primitive(h, order))
 
-    return [_from_ring(f[k]) for k in sorted(G)]
-
-
-def _minimalize(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
-    """Drop elements whose leading monomial is a proper multiple of another's
-    (a seed can be one), and sort by leading monomial.  Completion returns
-    pairwise distinct leading monomials (see _update), so nothing ties."""
-    lms = [p.leading_monomial(order) for p in basis]
-    keep = [p for p, m in zip(basis, lms)
-            if not any(n != m and n.divides(m) for n in lms)]
-    key = order.key(basis[0].ctx.arity)
-    return sorted(keep, key=lambda p: key(p.leading_monomial(order)))
+    minimal = [i for i in G if not any(j != i and lm[j].divides(lm[i]) for j in G)]
+    key = order.key(arity)
+    return [_from_ring(f[i]) for i in sorted(minimal, key=lambda i: key(lm[i]))]
 
 
 def _normalize_output(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
@@ -456,8 +453,9 @@ def standard_basis(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
 def _basis(F: PolySet, budget: _Budget, wanted: OrderClass, what: str) -> PolySet:
     """The minimal basis of <F> under its order, which must be of the wanted
     class (else OrderClassError names what), on the caller's budget, which
-    keeps the corner and its conditions after the run."""
+    keeps the corner and its conditions after the run.  The completion
+    returns it minimal and sorted; this only normalizes it."""
     order = F.order
     _require_class(order, F.ctx.arity, wanted, what)
-    basis = _minimalize(_completion(F.elements, order, budget, wanted), order)
+    basis = _completion(F.elements, order, budget, wanted)
     return PolySet(_normalize_output(basis, order), order)

@@ -88,10 +88,7 @@ def tyurina_ideal(f: Poly) -> list[Poly]:
 def is_zero_dimensional(leading, arity: int) -> bool:
     """True iff every variable admits a pure power among the leading
     monomials (the constant monomial counts for every variable)."""
-    for i in range(arity):
-        if not any(m.is_pure_power_of(i) for m in leading):
-            return False
-    return True
+    return standard_monomials(leading, arity) is not None
 
 
 def _monomials_capped(caps):
@@ -100,25 +97,34 @@ def _monomials_capped(caps):
     return map(Monomial, product(*map(range, caps)))
 
 
-def standard_monomials(leading, arity: int) -> list[Monomial]:
-    """The monomials no leading monomial divides, in no particular order.
-
-    Every variable has a pure power in the leading set, which caps its
-    exponent; the box below the caps holds every standard monomial, and no
-    pure power divides a monomial of the box.
-    """
-    if not is_zero_dimensional(leading, arity):
-        raise ValueError("leading ideal is not zero-dimensional")
-    caps = [min(m[i] for m in leading if m.is_pure_power_of(i))
-            for i in range(arity)]
-    mixed = [l for l in leading if sum(map(bool, l)) > 1]
+def standard_monomials(leading, arity: int) -> Optional[list[Monomial]]:
+    """The monomials no leading monomial divides, in no particular order, or
+    None when some variable has no pure power among the leading monomials.
+    One pass takes each variable's least pure-power exponent as its cap (the
+    unit caps every variable at 0) and collects the monomials in two or more
+    variables: the box below the caps holds every standard monomial, and no
+    pure power divides a monomial of the box."""
+    caps = [None] * arity
+    mixed = []
+    for m in leading:
+        support = [i for i, e in enumerate(m) if e]
+        if len(support) > 1:
+            mixed.append(m)
+            continue
+        for i in support or range(arity):
+            caps[i] = m[i] if caps[i] is None else min(caps[i], m[i])
+    if None in caps:
+        return None
     return [m for m in _monomials_capped(caps)
             if not any(l.divides(m) for l in mixed)]
 
 
 def quotient_basis(leading, arity: int, order: MonomialOrder):
     """Standard monomials, ascending under the order."""
-    return sorted(standard_monomials(leading, arity), key=order.key(arity))
+    staircase = standard_monomials(leading, arity)
+    if staircase is None:
+        raise ValueError("leading ideal is not zero-dimensional")
+    return sorted(staircase, key=order.key(arity))
 
 
 # ---------------------------------------------------------------------------
@@ -148,10 +154,10 @@ def _run(name, f, order, wanted, ideal_kind, err_message, step_budget):
     budget = _Budget(step_budget)
     basis = _basis(pset, budget, wanted, name)
     leading = tuple(basis.leading_monomials())
-    arity = pset.ctx.arity
-    if not is_zero_dimensional(leading, arity):
-        raise NonIsolatedError(err_message)
-    qb = tuple(quotient_basis(leading, arity, order))
+    try:
+        qb = tuple(quotient_basis(leading, pset.ctx.arity, order))
+    except ValueError:
+        raise NonIsolatedError(err_message) from None
     return InvariantReport(
         basis=basis,
         leading_monomials=leading,

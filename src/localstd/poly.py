@@ -43,10 +43,6 @@ class Monomial(tuple):
     def lcm(self, other: "Monomial") -> "Monomial":
         return Monomial(map(max, self, other))
 
-    def is_pure_power_of(self, i: int) -> bool:
-        """True when every exponent except possibly the i-th is zero."""
-        return all(e == 0 for j, e in enumerate(self) if j != i)
-
     @staticmethod
     def unit(arity: int) -> "Monomial":
         return Monomial((0,) * arity)

@@ -274,7 +274,7 @@ def test_pure_power_detection_on_zero_dimensional_examples():
         lms = basis.leading_monomials()
         assert is_zero_dimensional(lms, ctx.arity)
         for i in range(ctx.arity):
-            assert any(m.is_pure_power_of(i) and m[i] > 0 for m in lms)
+            assert any(m[i] > 0 and m.degree == m[i] for m in lms)
 
 
 def test_step_budget_enforced():
@@ -381,6 +381,10 @@ def test_completion_leading_monomials_are_distinct(seed, order):
         assume(False)
     lms = [p.leading_monomial(order) for p in basis]
     assert len(set(lms)) == len(lms)
+    # minimal: no leading monomial divides another; ascending under the order
+    assert not any(m != n and m.divides(n) for m in lms for n in lms)
+    key = order.key(2)
+    assert all(key(m) < key(n) for m, n in zip(lms, lms[1:]))
 
 
 @pytest.mark.parametrize("order, reducer", [

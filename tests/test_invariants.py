@@ -2,6 +2,7 @@
 
 import ast
 from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -18,6 +19,7 @@ from localstd import (Monomial, MonomialOrder, NonIsolatedError, OrderClass,
                       tyurina_fused, tyurina_global, tyurina_ideal,
                       tyurina_local)
 from localstd.engines import _Budget, _completion
+from localstd.invariants import standard_monomials
 
 
 def P(src, variables="x,y", params=""):
@@ -91,6 +93,49 @@ def test_quotient_basis_mixed_staircase():
 def test_quotient_basis_rejects_positive_dimension():
     with pytest.raises(ValueError):
         quotient_basis([Monomial((1, 1))], 2, grevlex())
+    assert standard_monomials([Monomial((1, 1)), Monomial((0, 2))], 2) is None
+
+
+def _staircase_by_search(leading, arity):
+    """Reference: None unless a power of every variable lies in the leading
+    ideal, else every monomial of the box up to the largest leading exponent
+    that no leading monomial divides."""
+    top = max((e for m in leading for e in m), default=0)
+    powers = [Monomial(top if j == i else 0 for j in range(arity)) for i in range(arity)]
+    if not all(any(l.divides(p) for l in leading) for p in powers):
+        return None
+    box = (Monomial(e) for e in product(range(top + 1), repeat=arity))
+    return [m for m in box if not any(l.divides(m) for l in leading)]
+
+
+@st.composite
+def leading_sets(draw):
+    """Leading monomials in 1-4 variables, exponents up to 3: pure powers (the
+    unit among them, a variable's power possibly repeated) and mixed ones,
+    half the time with a pure power of every variable added."""
+    arity = draw(st.integers(1, 4))
+    pure = st.tuples(st.integers(0, arity - 1), st.integers(0, 3)).map(
+        lambda ie: Monomial(ie[1] if j == ie[0] else 0 for j in range(arity)))
+    any_monomial = st.tuples(*[st.integers(0, 3)] * arity).map(Monomial)
+    leading = draw(st.lists(st.one_of(pure, any_monomial), max_size=6))
+    if draw(st.booleans()):
+        leading += [Monomial(draw(st.integers(1, 3)) if j == i else 0 for j in range(arity))
+                    for i in range(arity)]
+    return draw(st.permutations(leading)), arity
+
+
+@settings(max_examples=300, deadline=None)
+@given(leading_sets(), st.sampled_from([grevlex(), neg_grevlex(), lex()]))
+def test_staircase_matches_a_search(case, order):
+    leading, arity = case
+    ref = _staircase_by_search(leading, arity)
+    assert is_zero_dimensional(leading, arity) == (ref is not None)
+    if ref is None:
+        with pytest.raises(ValueError):
+            quotient_basis(leading, arity, order)
+        return
+    assert sorted(standard_monomials(leading, arity)) == ref
+    assert quotient_basis(leading, arity, order) == sorted(ref, key=order.key(arity))
 
 
 # ---------------------------------------------------------------------------
@@ -187,10 +232,14 @@ def test_milnor_global_smooth_and_cylinder():
 
 def test_non_isolated_error_messages():
     f = P("x^2*z^2 + y^2*z^2 + x^2*y^2", "x,y,z")
-    with pytest.raises(NonIsolatedError, match="critical"):
-        milnor_global(f)
-    with pytest.raises(NonIsolatedError, match="singular"):
-        tyurina_global(f)
+    for run, message in [
+            (milnor_local, "the critical point at the origin is not isolated"),
+            (tyurina_local, "the singular point at the origin is not isolated"),
+            (milnor_global, "non-isolated critical points"),
+            (tyurina_global, "non-isolated singular points")]:
+        with pytest.raises(NonIsolatedError) as err:
+            run(f)
+        assert str(err.value) == message, run.__name__
 
 
 def test_order_class_guards():
