@@ -6,8 +6,10 @@ order, Mora's weak normal form (``_weak_nf``) under a local one
 (Greuel-Pfister, *A Singular Introduction to Commutative Algebra*, 1.6-1.7).
 ``buchberger``, ``standard_basis`` and the invariant pipelines run ``_basis``
 on one ``_Budget``; it checks the class once, with ``_require_class``.
-``_completion`` returns the minimal basis, sorted by leading monomial, and
-``_basis`` only normalizes it.
+``_completion`` returns the minimal basis, sorted by leading monomial and
+normalized: monic where the leading coefficient is a number, primitive over
+Z[params] where it is parametric, and such a coefficient is recorded on the
+budget.
 
 Both reducers work fraction-free: ``_spoly`` cross-multiplies leading
 coefficients instead of dividing, for pairs and for every reduction step of
@@ -46,11 +48,12 @@ element of a run that reduces no pair, keeps its tail above the final k, so
 the returned tails are not canonical.  Over Q(params) the corner rests on
 the leading monomials of the basis, which hold wherever their leading
 coefficients do not vanish; each time k is set, the parametric leading
-coefficients of the basis are recorded as conditions on the run's budget,
-and the pipelines report them as genericity assumptions.  At a point where
-none vanishes, the specialized run sees the same leading monomials and so
-the same corner (as for comprehensive Groebner systems: Weispfenning,
-J. Symb. Comp. 14, 1992).  Other local orders are not degree-compatible.
+coefficients of the basis are recorded as conditions on the run's budget
+(``_Budget.assume``, as are those of the returned basis), and the pipelines
+report them as genericity assumptions.  At a point where none vanishes,
+the specialized run sees the same leading monomials and so the same corner
+(as for comprehensive Groebner systems: Weispfenning, J. Symb. Comp. 14,
+1992).  Other local orders are not degree-compatible.
 """
 
 from __future__ import annotations
@@ -120,15 +123,26 @@ class PolySet:
 class _Budget:
     """The state of one run: the steps left; once a Mora completion
     knows it, the corner degree k with m^k inside the ideal, above which
-    terms are dropped; and the conditions, the parametric leading
-    coefficients (field elements) that certified each corner."""
+    terms are dropped; and the conditions, the canonical forms of the
+    parametric leading coefficients the run assumes nonzero (those that
+    certified each corner and those of the returned basis), each once."""
 
     __slots__ = ("left", "corner", "conditions")
 
     def __init__(self, steps: Optional[int]):
+        if steps is not None and steps < 0:
+            raise ValueError("step budget must be non-negative, got %d" % steps)
         self.left = DEFAULT_STEP_BUDGET if steps is None else steps
         self.corner: Optional[int] = None
         self.conditions: list = []
+
+    def assume(self, field, c):
+        """Record that the field element c is nonzero: nothing for a
+        constant, else its canonical form, once."""
+        if not field.is_constant(c):
+            canon = field.canonical_assumption(c)
+            if canon not in self.conditions:
+                self.conditions.append(canon)
 
     def tick(self):
         self.left -= 1
@@ -346,7 +360,10 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, budget: _Budget,
     Returns the minimal basis, ascending by leading monomial, read off the
     leading monomials of G: _update leaves them pairwise distinct, and a
     reduced element's is a multiple of none in G, so only a seed can be a
-    proper multiple of another; such seeds are left out.
+    proper multiple of another; such seeds are left out.  Each element is
+    normalized on the way out: divided by its leading coefficient when that
+    is a number, else left primitive over Z[params], which fixes it up to a
+    unit, with the coefficient recorded on the budget.
 
     Completion runs on ring coefficients: the seed is cleared of
     denominators, and the basis is returned over the field.  Content is
@@ -399,9 +416,7 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, budget: _Budget,
         budget.corner = k
         # the corner holds wherever these leading coefficients do not vanish
         for i in G:
-            c = field.from_ring(f[i].leading_coefficient(order))
-            if not field.is_constant(c):
-                budget.conditions.append(c)
+            budget.assume(field, field.from_ring(f[i].leading_coefficient(order)))
         for i, p in enumerate(f):
             q = _truncate(p, k)
             if q is not p:
@@ -429,15 +444,13 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, budget: _Budget,
 
     minimal = [i for i in G if not any(j != i and lm[j].divides(lm[i]) for j in G)]
     key = order.key(arity)
-    return [_from_ring(f[i]) for i in sorted(minimal, key=lambda i: key(lm[i]))]
-
-
-def _normalize_output(basis: list[Poly], order: MonomialOrder) -> list[Poly]:
-    """Monic for numeric leading coefficients.  An element with a parametric
-    one is left as completion returns it: primitive over Z[params], which
-    fixes it up to a unit."""
-    return [p.monic(order) if p.ctx.field.is_constant(p.leading_coefficient(order))
-            else p for p in basis]
+    basis = []
+    for i in sorted(minimal, key=lambda i: key(lm[i])):
+        c = field.from_ring(f[i].leading_coefficient(order))
+        budget.assume(field, c)
+        basis.append(Poly(f[i].ctx, {m: field.from_ring(a) / c for m, a in f[i].items()})
+                     if field.is_constant(c) else _from_ring(f[i]))
+    return basis
 
 
 def buchberger(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
@@ -451,11 +464,9 @@ def standard_basis(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
 
 
 def _basis(F: PolySet, budget: _Budget, wanted: OrderClass, what: str) -> PolySet:
-    """The minimal basis of <F> under its order, which must be of the wanted
-    class (else OrderClassError names what), on the caller's budget, which
-    keeps the corner and its conditions after the run.  The completion
-    returns it minimal and sorted; this only normalizes it."""
+    """The minimal normalized basis of <F> under its order, which must be of
+    the wanted class (else OrderClassError names what), on the caller's
+    budget, which keeps the corner and the run's conditions after the run."""
     order = F.order
     _require_class(order, F.ctx.arity, wanted, what)
-    basis = _completion(F.elements, order, budget, wanted)
-    return PolySet(_normalize_output(basis, order), order)
+    return PolySet(_completion(F.elements, order, budget, wanted), order)

@@ -131,20 +131,6 @@ def quotient_basis(leading, arity: int, order: MonomialOrder):
 # pipelines
 # ---------------------------------------------------------------------------
 
-def _collect_assumptions(basis: PolySet, conditions):
-    """Canonical forms of the parametric final leading coefficients and of
-    the conditions recorded by the run, deduplicated and sorted."""
-    field = basis.ctx.field
-    seen = []
-    for lc in [*(p.leading_coefficient(basis.order) for p in basis), *conditions]:
-        if field.is_constant(lc):
-            continue
-        canon = field.canonical_assumption(lc)
-        if canon not in seen:
-            seen.append(canon)
-    return tuple(sorted(seen, key=field.to_str))
-
-
 def _run(name, f, order, wanted, ideal_kind, err_message, step_budget):
     """The pipeline called name: the basis of the ideal of f under order, or
     under the default order of the wanted class, on one budget."""
@@ -166,7 +152,8 @@ def _run(name, f, order, wanted, ideal_kind, err_message, step_budget):
         order=order,
         ideal_kind=ideal_kind,
         locality=wanted.value,
-        genericity_assumptions=_collect_assumptions(basis, budget.conditions),
+        genericity_assumptions=tuple(sorted(budget.conditions,
+                                            key=pset.ctx.field.to_str)),
     )
 
 

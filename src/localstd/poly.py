@@ -331,12 +331,6 @@ class Poly:
             return self
         return Poly(self.ctx, {m: c / u for m, c in self._t.items()})
 
-    def monic(self, order) -> "Poly":
-        lc, _ = self.leading_term(order)
-        if lc == self.ctx.field.one:
-            return self
-        return self.scale(self.ctx.field.one / lc)
-
     # -- leading data ----------------------------------------------------------
 
     def leading_term(self, order):

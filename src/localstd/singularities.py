@@ -716,12 +716,12 @@ def verify_stratum(cls: SingularityClass, stratum: Stratum,
     missing = set(stratum.witness_params) - set(witness)
     if missing:
         raise ValueError("witness misses parameters %s" % sorted(missing))
-    for src in stratum.side_conditions:
-        if _eval_param_expr(src, witness) == 0:
-            raise ValueError("witness violates side condition %r" % src)
     for name in witness:
         if name not in stratum.witness_params:
             raise KeyError("unknown parameter %r" % name)
+    for src in stratum.side_conditions:
+        if _eval_param_expr(src, witness) == 0:
+            raise ValueError("witness violates side condition %r" % src)
     f = stratum.family(witness)
     mu, tau, crk, got = _germ_invariants(f)
     coords = _coordinates(f, stratum.generic)

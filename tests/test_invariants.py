@@ -194,6 +194,13 @@ def test_parametric_runs_take_the_same_steps(pipeline, kind, steps):
     pipeline(f, step_budget=steps)
 
 
+def test_negative_step_budget_is_rejected():
+    # x^2 + y^3 takes no step, so a budget checked only on a tick never fired
+    with pytest.raises(ValueError, match="non-negative"):
+        milnor_local(P("x^2 + y^3"), step_budget=-3)
+    assert milnor_local(P("x^2 + y^3"), step_budget=0).dimension == 2
+
+
 def test_a_from_d_seven_stops_at_the_highest_corner():
     # Over Q(t) the run truncates at the corner; untruncated it took 408
     # steps and swelled to coefficients of degree 45 in t
@@ -312,6 +319,33 @@ def test_leading_coefficients_numeric_are_constant():
     field = r.basis.ctx.field
     assert all(field.is_constant(c) for c, _ in leading_coefficients(r))
     assert r.genericity_assumptions == ()
+
+
+_EXIT_CONTRACT_INPUTS = [
+    *(special_adjacency_family(kind, n=n) for kind, n in
+      [("a-from-d", 4), ("a-from-d", 5), ("a-from-d", 6), ("a-from-d", 7),
+       ("a5-from-e6", None), ("d5-from-e6", None), ("a6-from-e7", None),
+       ("d6-from-e7", None), ("a7-from-e8", None), ("d7-from-e8", None)]),
+    P("x^3 + y^4 + x*y^2 + t*x^2", params="t"),
+    P("x^3 + y^4 + x*y^2 + l1*y + l2*x + l3*x^2", params="l1,l2,l3"),
+]
+
+
+@pytest.mark.parametrize("pipeline", [milnor_local, tyurina_local,
+                                      milnor_global, tyurina_global])
+@pytest.mark.parametrize("f", _EXIT_CONTRACT_INPUTS, ids=str)
+def test_basis_leading_coefficients_are_one_or_assumed(pipeline, f):
+    # numeric leading coefficients are divided out, every parametric one is
+    # an assumption, and the assumptions are distinct and sorted
+    r = pipeline(f)
+    field = f.ctx.field
+    for c, _ in leading_coefficients(r):
+        if field.is_constant(c):
+            assert c == field.one
+        else:
+            assert field.canonical_assumption(c) in r.genericity_assumptions
+    names = [field.to_str(a) for a in r.genericity_assumptions]
+    assert names == sorted(set(names))
 
 
 # ---------------------------------------------------------------------------

@@ -246,6 +246,13 @@ def test_cli_budget_exit_5(capsys):
     capsys.readouterr()
 
 
+def test_cli_negative_step_budget_exit_1(capsys):
+    # a run that takes no step used to ignore the budget and answer
+    assert main(["milnor", "--vars", "x,y", "--step-budget", "-1", "x^2+y^3"]) == 1
+    assert capsys.readouterr().err == \
+        "localstd: error: step budget must be non-negative, got -1\n"
+
+
 def test_cli_parse_echo(capsys):
     rc = main(["parse", "--vars", "x,y", "x^2 + -1*y + x^2"])
     assert rc == 0
@@ -440,6 +447,15 @@ def test_every_export_resolves_once():
     assert len(set(names)) == len(names)
     for name in names:
         assert hasattr(localstd, name), name
+
+
+@pytest.mark.parametrize("witness, name", [
+    ("v3=1,v4=1,Y=2", "Y"),    # a variable of the family
+    ("v3=0,v4=0,zz=1", "zz"),  # with a side condition violated as well
+])
+def test_cli_verify_stratum_names_an_unknown_witness_parameter(witness, name, capsys):
+    assert main(["verify-stratum", "E6", "V0^2", "--witness", witness]) == 1
+    assert capsys.readouterr().err == "localstd: error: unknown parameter '%s'\n" % name
 
 
 def test_cli_key_error_message_is_unquoted(capsys):
