@@ -344,9 +344,6 @@ class _Frac:
         other = self._coerce(other)
         return other if other is NotImplemented else self + -other
 
-    def __rsub__(self, other):
-        return -self + other
-
     def __mul__(self, other):
         other = self._coerce(other)
         if other is NotImplemented:
@@ -537,41 +534,37 @@ class CoeffField:
     # -- substitution ----------------------------------------------------
 
     def specialize(self, c, values: dict, target: "CoeffField"):
-        """Substitute rationals for a subset of parameters.
+        """Substitute rationals for some (possibly none) of the parameters
+        and re-key the rest by name into target.
 
-        values maps parameter name -> Fraction, at least one.  The remaining
-        parameters must be exactly the parameters of target.  Raises
-        ZeroDivisionError when the denominator vanishes under the assignment.
+        values maps parameter name -> Fraction.  The parameters left unbound
+        must be among target's.  Raises ZeroDivisionError when the denominator
+        vanishes under the assignment.
         """
+        if not self.params:
+            return target.from_fraction(c)
         point = {i: values[name] for i, name in enumerate(self.params) if name in values}
         num, den = c.numer.evaluate(point), c.denom.evaluate(point)
         if not den:
             raise ZeroDivisionError("denominator vanishes under the assignment")
         if not target.params:
             return target.from_fraction(Fraction(num.get((), 0)) / den[()])
-        rest = [name for name in self.params if name not in values]
+        where = [target.params.index(name) for name in self.params if name not in values]
         scale = lcm(*(Fraction(a).denominator for p in (num, den) for a in p.values()))
-        return target._frac(target._embed(num, rest, scale), target._embed(den, rest, scale))
+
+        def embed(p):
+            out = _ZPoly()
+            for m, a in p.items():
+                e = list(target._unit)
+                for i, k in zip(where, m):
+                    e[i] = k
+                out[tuple(e)] = int(a * scale)
+            return out
+        return target._frac(embed(num), embed(den))
 
     def convert_to(self, c, target: "CoeffField"):
         """Embed into a field with a superset of parameters."""
-        if not self.params:
-            return target.from_fraction(c)
-        return target._frac(target._embed(c.numer, self.params),
-                            target._embed(c.denom, self.params))
-
-    def _embed(self, p, names, scale=1) -> _ZPoly:
-        """The ring element with p's exponent of names[i] at that name's
-        position among the params, and p's coefficients times scale (which
-        must leave integers)."""
-        where = [self.params.index(name) for name in names]
-        out = _ZPoly()
-        for m, a in p.items():
-            e = list(self._unit)
-            for i, k in zip(where, m):
-                e[i] = k
-            out[tuple(e)] = int(a * scale)
-        return out
+        return self.specialize(c, {}, target)
 
     # -- printing ----------------------------------------------------------
 

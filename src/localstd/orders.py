@@ -101,19 +101,15 @@ class MonomialOrder:
     # -- classification ------------------------------------------------------
 
     def classify(self, arity: int) -> OrderClass:
-        """Probe 1 against each variable, mirroring the runtime guard."""
-        one = (0,) * arity
-        above = below = 0
-        for i in range(arity):
-            xi = tuple(1 if j == i else 0 for j in range(arity))
-            c = self.compare(one, xi)
-            if c < 0:
-                above += 1
-            elif c > 0:
-                below += 1
-        if above == arity:
+        """Probe 1 against each variable under the compiled key, mirroring
+        the runtime guard: GLOBAL when every variable is above 1, LOCAL when
+        every one is below it, MIXED otherwise."""
+        key = self.key(arity)
+        one = key((0,) * arity)
+        xs = [key(tuple(int(j == i) for j in range(arity))) for i in range(arity)]
+        if all(one < x for x in xs):
             return OrderClass.GLOBAL
-        if below == arity:
+        if all(one > x for x in xs):
             return OrderClass.LOCAL
         return OrderClass.MIXED
 

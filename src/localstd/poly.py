@@ -246,9 +246,7 @@ class Poly:
 
     def scale(self, c) -> "Poly":
         """Multiply by a coefficient-field element."""
-        if not c:
-            return self.ctx.zero()
-        return Poly(self.ctx, {m: v * c for m, v in self._t.items()})
+        return self.mul_term(c, Monomial.unit(self.ctx.arity))
 
     def mul_term(self, c, mon: Monomial) -> "Poly":
         if not c:

@@ -206,16 +206,20 @@ def classify_simple(f: Poly, mu: Optional[int] = None) -> Optional[SingularityCl
     """Arnol'd class of the isolated singular point at the origin, or None
     when the germ is not simple (corank >= 3, or out-of-range invariants).
 
-    Arnol'd's determinator needs only the jets: the origin is critical when
-    f has no linear term; the corank is the dimension of the Hessian's
-    kernel; with corank 2 the splitting lemma leaves the cubic part of f on
-    that kernel, which is zero (not simple), a cube (E6, E7, E8 by mu) or
-    otherwise D_mu.  No normal-form reduction is performed.
+    f must vanish at the origin and have it as a critical point; otherwise
+    the germ has no class there and ValueError is raised.  Arnol'd's
+    determinator needs only the jets: the origin is critical when f has no
+    linear term; the corank is the dimension of the Hessian's kernel; with
+    corank 2 the splitting lemma leaves the cubic part of f on that kernel,
+    which is zero (not simple), a cube (E6, E7, E8 by mu) or otherwise D_mu.
+    No normal-form reduction is performed.
     """
     if f.has_parameters():
         raise ValueError("classification needs a parameter-free polynomial")
     if any(m.degree == 1 for m in f.monomials()):
         raise ValueError("the origin is not a critical point")
+    if f.constant_coeff():
+        raise ValueError("the polynomial does not vanish at the origin")
     if mu is None:
         mu = milnor_local(f).dimension
     if mu < 1:
@@ -680,7 +684,7 @@ def _eval_param_expr(src: str, values: dict) -> Fraction:
     p = parse_poly(src, _YZ, values)
     if not p.is_constant():
         raise ValueError("expression %r did not evaluate to a constant" % src)
-    return _YZ.field.as_fraction(p.constant_coeff()) if p else Fraction(0)
+    return p.constant_coeff()
 
 
 def sample_witness(stratum: Stratum, rng: random.Random, max_den: int = 7) -> dict:

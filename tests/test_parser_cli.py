@@ -253,6 +253,18 @@ def test_cli_negative_step_budget_exit_1(capsys):
         "localstd: error: step budget must be non-negative, got -1\n"
 
 
+@pytest.mark.parametrize("argv, code, err", [
+    (["milnor", "--vars", "x,y", "5"], 1,
+     "error: polynomial is constant in every variable"),
+    (["milnor", "--vars", "x,y", "--order", "weighted:1,2,3:lex", "x^2+y^3"], 3,
+     "order error: weight vector does not fit arity 2"),
+    (["parse", "--vars", "1x", "x"], 1, "error: bad symbol name '1x'"),
+])
+def test_cli_input_checks_name_the_input(argv, code, err, capsys):
+    assert main(argv) == code
+    assert capsys.readouterr().err == "localstd: %s\n" % err
+
+
 def test_cli_parse_echo(capsys):
     rc = main(["parse", "--vars", "x,y", "x^2 + -1*y + x^2"])
     assert rc == 0
@@ -349,6 +361,12 @@ def test_cli_classify(capsys):
     rc = main(["classify", "--vars", "y,z", "y^2*z + z^5"])
     assert rc == 0
     assert "D6" in capsys.readouterr().out
+
+
+def test_cli_classify_needs_a_germ_that_vanishes_at_the_origin(capsys):
+    assert main(["classify", "--vars", "x,y", "1+x^2+y^3"]) == 1
+    assert capsys.readouterr().err == \
+        "localstd: error: the polynomial does not vanish at the origin\n"
 
 
 def test_cli_deform(capsys):

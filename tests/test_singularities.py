@@ -3,6 +3,7 @@ families, stratification catalogs, adjacency families."""
 
 import dataclasses
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -38,6 +39,12 @@ def test_normal_form_examples():
     assert ade_normal_form(C("A1"), 2) == P("y^2 + z^2", "y,z")
     assert ade_normal_form(C("D5"), 2) == P("y^2*z + z^4", "y,z")
     assert ade_normal_form(C("E7"), 3) == P("x^2 + y^3 + y*z^3", "x,y,z")
+
+
+def test_normal_form_of_five_variables_names_x1_x2_x3_y_z():
+    f = ade_normal_form(C("A2"), 5)
+    assert f.ctx.variables == ("x1", "x2", "x3", "y", "z")
+    assert f == P("y^2 + z^3 + x1^2 + x2^2 + x3^2", "x1,x2,x3,y,z")
 
 
 def test_class_validation():
@@ -133,6 +140,12 @@ def test_classify_kernels_off_the_axes():
 def test_classify_rejects_noncritical_origin():
     with pytest.raises(ValueError):
         classify_simple(P("x + y^2"))
+
+
+def test_classify_rejects_a_germ_off_the_hypersurface():
+    # 1 + x^2 + y^3 has mu = 2 but tau = 0: the origin is not on its zero set
+    with pytest.raises(ValueError, match="the polynomial does not vanish at the origin"):
+        classify_simple(P("1 + x^2 + y^3"))
 
 
 def test_classify_round_trip_up_to_index_10():
@@ -294,6 +307,11 @@ def test_versal_family_smooth_is_empty():
     assert fam.family == P("y", "y,z")
 
 
+def test_versal_family_parameter_names_avoid_the_context():
+    fam = build_versal_family(P("x^3 + lam0*y^2 + y^2", "x,y", "lam0"))
+    assert fam.parameters == ("lam0_", "lam1")
+
+
 # ---------------------------------------------------------------------------
 # stratification catalogs
 # ---------------------------------------------------------------------------
@@ -353,6 +371,12 @@ def test_verify_stratum_rejects_bad_witness():
         verify_stratum(C("E6"), cat["V&V0^2"], {"a": Fraction(0)})
     with pytest.raises(ValueError):
         verify_stratum(C("E6"), cat["V&V0^2"], {})
+
+
+def test_sample_witness_gives_up_on_a_side_condition_that_always_vanishes():
+    s = dataclasses.replace(stratum_catalog(C("E6"))[0], side_conditions=("0",))
+    with pytest.raises(RuntimeError, match="no nondegenerate witness found for %s$" % re.escape(s.name)):
+        sample_witness(s, random.Random(1))
 
 
 def test_strata_path_builds_no_parametric_field(monkeypatch):
