@@ -26,23 +26,25 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PKG = ROOT / "src" / "localstd"
-ran = set()    # (file name, line)
-_names = {}    # co_filename -> file name under PKG, or None
 
 
-def _trace(frame, event, arg):
-    key = frame.f_code.co_filename
-    if key not in _names:
-        path = Path(key).resolve()
-        _names[key] = path.name if path.parent == PKG else None
-    name = _names[key]
-    if name is None:
-        return None
+def _tracer(ran: set):
+    """A trace function adding (file name, line) to ran for each line run
+    in a file of PKG."""
+    names = {}    # co_filename -> file name under PKG, or None
 
-    def line(frame, event, arg):
-        ran.add((name, frame.f_lineno))
-        return line
-    return line(frame, event, arg)
+    def trace(frame, event, arg):
+        key = frame.f_code.co_filename
+        if key not in names:
+            path = Path(key).resolve()
+            names[key] = path.name if path.parent == PKG else None
+        name = names[key]
+
+        def line(frame, event, arg):
+            ran.add((name, frame.f_lineno))
+            return line
+        return line(frame, event, arg) if name else None
+    return trace
 
 
 def _lines(code) -> set:
@@ -59,8 +61,10 @@ def main():
     from hypothesis import HealthCheck, settings
     settings.register_profile("reach", deadline=None,
                               suppress_health_check=list(HealthCheck))
-    sys.settrace(_trace)
-    threading.settrace(_trace)
+    ran = set()
+    trace = _tracer(ran)
+    sys.settrace(trace)
+    threading.settrace(trace)
     out = io.StringIO()
     try:
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(out):
