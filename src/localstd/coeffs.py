@@ -563,7 +563,8 @@ class CoeffField:
         return target._frac(embed(num), embed(den))
 
     def convert_to(self, c, target: "CoeffField"):
-        """Embed into a field with a superset of parameters."""
+        """Embed into a field with a superset of parameters: specialize
+        with no parameter bound."""
         return self.specialize(c, {}, target)
 
     # -- printing ----------------------------------------------------------
