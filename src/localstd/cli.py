@@ -295,7 +295,7 @@ def _cmd_verify_stratum(args):
                          % (args.stratum, ", ".join(catalog)))
         return EXIT_ERROR
     stratum = catalog[args.stratum]
-    if args.witness:
+    if args.witness is not None:
         witness = {}
         for chunk in args.witness.split(","):
             name, eq, val = chunk.partition("=")
@@ -322,10 +322,10 @@ def _cmd_adjacency(args):
     payload = {"kind": args.kind, "target": target.name,
                "family": fam.to_str()}
     lines = ["family: " + fam.to_str(), "target: " + target.name]
-    if args.t:
+    if args.t is not None:
         checks = []
-        for chunk in args.t.split(","):
-            tv = Fraction(chunk)
+        # every value is parsed before the first run
+        for tv in [Fraction(chunk) for chunk in args.t.split(",")]:
             f = fam.specialize_params({"t": tv})
             mu = milnor_local(f).dimension
             cls = classify_simple(f, mu=mu)

@@ -377,8 +377,7 @@ class CoeffField:
     For an empty parameter list this is Q, with ``Fraction`` elements and
     plain-int ring elements.  Otherwise it is Q(params), with ``_Frac``
     elements over ``_ZPoly`` ring elements in the generator order of params.
-    Either way elements are reduced with a positive denominator, which is
-    exactly the ParamCoeff contract.
+    Either way every element is reduced, with a positive denominator.
     """
 
     def __init__(self, params: tuple[str, ...]):

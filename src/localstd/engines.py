@@ -455,18 +455,20 @@ def _completion(seed: Iterable[Poly], order: MonomialOrder, budget: _Budget,
 
 def buchberger(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
     """Groebner basis of <F> under a global order, minimalized."""
-    return _basis(F, _Budget(step_budget), OrderClass.GLOBAL, "buchberger")
+    return _basis(F.elements, F.order, _Budget(step_budget), OrderClass.GLOBAL,
+                  "buchberger")
 
 
 def standard_basis(F: PolySet, step_budget: Optional[int] = None) -> PolySet:
     """Mora standard basis of <F> in the local ring, minimalized."""
-    return _basis(F, _Budget(step_budget), OrderClass.LOCAL, "standard_basis")
+    return _basis(F.elements, F.order, _Budget(step_budget), OrderClass.LOCAL,
+                  "standard_basis")
 
 
-def _basis(F: PolySet, budget: _Budget, wanted: OrderClass, what: str) -> PolySet:
-    """The minimal normalized basis of <F> under its order, which must be of
-    the wanted class (else OrderClassError names what), on the caller's
-    budget, which keeps the corner and the run's conditions after the run."""
-    order = F.order
-    _require_class(order, F.ctx.arity, wanted, what)
-    return PolySet(_completion(F.elements, order, budget, wanted), order)
+def _basis(gens, order: MonomialOrder, budget: _Budget, wanted: OrderClass,
+           what: str) -> PolySet:
+    """The minimal normalized basis of <gens> (nonzero, one context) under
+    order, which must be of the wanted class (else OrderClassError names what),
+    on the caller's budget, which keeps the corner and conditions of the run."""
+    _require_class(order, gens[0].ctx.arity, wanted, what)
+    return PolySet(_completion(gens, order, budget, wanted), order)

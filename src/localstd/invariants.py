@@ -23,14 +23,22 @@ class NonIsolatedError(RuntimeError):
 
 @dataclass(frozen=True)
 class InvariantReport:
+    """One pipeline's answer; its order and leading monomials are its basis's."""
+
     basis: PolySet
-    leading_monomials: tuple[Monomial, ...]
     quotient_basis: tuple[Monomial, ...]
     dimension: int
-    order: MonomialOrder
     ideal_kind: str       # "jacobian" | "tyurina"
     locality: str         # "local" | "global"
     genericity_assumptions: tuple = ()
+
+    @property
+    def order(self) -> MonomialOrder:
+        return self.basis.order
+
+    @property
+    def leading_monomials(self) -> tuple[Monomial, ...]:
+        return tuple(self.basis.leading_monomials())
 
     def to_json_dict(self) -> dict:
         ctx = self.basis.ctx
@@ -132,28 +140,23 @@ def quotient_basis(leading, arity: int, order: MonomialOrder):
 # ---------------------------------------------------------------------------
 
 def _run(name, f, order, wanted, ideal_kind, err_message, step_budget):
-    """The pipeline called name: the basis of the ideal of f under order, or
-    under the default order of the wanted class, on one budget."""
+    """The pipeline called name: the completion of the ideal's generators
+    under order, or the default order of the wanted class, on one budget."""
     order = order or DEFAULT_ORDERS[wanted]
     gens = jacobian_ideal(f) if ideal_kind == "jacobian" else tyurina_ideal(f)
-    pset = PolySet(gens, order)
     budget = _Budget(step_budget)
-    basis = _basis(pset, budget, wanted, name)
-    leading = tuple(basis.leading_monomials())
+    basis = _basis(gens, order, budget, wanted, name)
     try:
-        qb = tuple(quotient_basis(leading, pset.ctx.arity, order))
+        qb = tuple(quotient_basis(basis.leading_monomials(), f.ctx.arity, order))
     except ValueError:
         raise NonIsolatedError(err_message) from None
     return InvariantReport(
         basis=basis,
-        leading_monomials=leading,
         quotient_basis=qb,
         dimension=len(qb),
-        order=order,
         ideal_kind=ideal_kind,
         locality=wanted.value,
-        genericity_assumptions=tuple(sorted(budget.conditions,
-                                            key=pset.ctx.field.to_str)),
+        genericity_assumptions=tuple(sorted(budget.conditions, key=f.ctx.field.to_str)),
     )
 
 

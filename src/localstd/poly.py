@@ -103,9 +103,6 @@ class VarCtx:
         dropped = set(dropped)
         return VarCtx(self.variables, tuple(p for p in self.parameters if p not in dropped))
 
-    def with_params(self, extra: Iterable[str]) -> "VarCtx":
-        return VarCtx(self.variables, self.parameters + tuple(extra))
-
     # convenience constructors ------------------------------------------
 
     def zero(self) -> "Poly":
@@ -300,15 +297,6 @@ class Poly:
             c = f.specialize(c, vals, new_ctx.field)
             if c:
                 t[m] = c
-        return Poly(new_ctx, t)
-
-    def convert_to(self, new_ctx: VarCtx) -> "Poly":
-        """Re-home into a context with the same variables and a parameter
-        superset."""
-        if new_ctx.variables != self.ctx.variables:
-            raise ContextMismatchError("variable lists differ")
-        f = self.ctx.field
-        t = {m: f.convert_to(c, new_ctx.field) for m, c in self._t.items()}
         return Poly(new_ctx, t)
 
     # -- normalization ---------------------------------------------------------

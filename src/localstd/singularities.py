@@ -202,6 +202,17 @@ def hessian_corank(f: Poly) -> int:
     return len(_hessian_kernel(f))
 
 
+def _check_germ(f: Poly):
+    """Raise ValueError unless f is a germ classify_simple takes: parameter-free,
+    zero at the origin, with the origin a critical point."""
+    if f.has_parameters():
+        raise ValueError("classification needs a parameter-free polynomial")
+    if any(m.degree == 1 for m in f.monomials()):
+        raise ValueError("the origin is not a critical point")
+    if f.constant_coeff():
+        raise ValueError("the polynomial does not vanish at the origin")
+
+
 def classify_simple(f: Poly, mu: Optional[int] = None) -> Optional[SingularityClass]:
     """Arnol'd class of the isolated singular point at the origin, or None
     when the germ is not simple (corank >= 3, or out-of-range invariants).
@@ -214,12 +225,7 @@ def classify_simple(f: Poly, mu: Optional[int] = None) -> Optional[SingularityCl
     which is zero (not simple), a cube (E6, E7, E8 by mu) or otherwise D_mu.
     No normal-form reduction is performed.
     """
-    if f.has_parameters():
-        raise ValueError("classification needs a parameter-free polynomial")
-    if any(m.degree == 1 for m in f.monomials()):
-        raise ValueError("the origin is not a critical point")
-    if f.constant_coeff():
-        raise ValueError("the polynomial does not vanish at the origin")
+    _check_germ(f)
     if mu is None:
         mu = milnor_local(f).dimension
     if mu < 1:
@@ -286,10 +292,9 @@ def build_versal_family(f: Poly, order: Optional[MonomialOrder] = None) -> Defor
             name = name + "_"
         taken.add(name)
         names.append(name)
-    new_ctx = f.ctx.with_params(names)
-    fam = f.convert_to(new_ctx)
-    for name, m in zip(names, monoms):
-        fam = fam + Poly(new_ctx, {m: new_ctx.field.param(name)})
+    ctx = VarCtx(f.ctx.variables, f.ctx.parameters + tuple(names))
+    fam = (Poly(ctx, {m: f.ctx.field.convert_to(c, ctx.field) for m, c in f.items()})
+           + Poly(ctx, {m: ctx.field.param(name) for name, m in zip(names, monoms)}))
     return DeformationFamily(monomials=monoms, parameters=tuple(names), family=fam)
 
 
@@ -704,7 +709,8 @@ def sample_witness(stratum: Stratum, rng: random.Random, max_den: int = 7) -> di
 
 def _germ_invariants(f: Poly, step_budget: Optional[int] = None):
     """(mu, tau, Hessian corank, simple class or None) of the germ of f at
-    the origin."""
+    the origin, which is checked before any run."""
+    _check_germ(f)
     mu = milnor_local(f, step_budget=step_budget).dimension
     tau = tyurina_local(f, step_budget=step_budget).dimension
     return mu, tau, hessian_corank(f), classify_simple(f, mu=mu)

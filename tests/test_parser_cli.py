@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import localstd
-from localstd import (ParseError, UndeclaredSymbolError, VarCtx, coeffs,
+from localstd import (ParseError, UndeclaredSymbolError, VarCtx, cli, coeffs,
                       grevlex, neg_grevlex, parse_poly)
 from localstd.cli import _build_argparser, main
 
@@ -369,6 +369,14 @@ def test_cli_classify_needs_a_germ_that_vanishes_at_the_origin(capsys):
         "localstd: error: the polynomial does not vanish at the origin\n"
 
 
+def test_cli_classify_checks_the_germ_before_any_run(capsys):
+    # 1 + x^2 has a non-isolated critical locus, but the first fault is that
+    # it does not vanish at the origin
+    assert main(["classify", "--vars", "x,y", "1+x^2"]) == 1
+    assert capsys.readouterr().err == \
+        "localstd: error: the polynomial does not vanish at the origin\n"
+
+
 def test_cli_deform(capsys):
     rc = main(["deform", "--vars", "y,z", "--json", "y^2 + z^4"])
     assert rc == 0
@@ -419,6 +427,27 @@ def test_cli_verify_stratum_rejects_a_bad_witness(witness, capsys):
     err = capsys.readouterr().err
     assert err.startswith("localstd: error: bad witness entry ")
     assert repr(witness.split(",")[-1]) in err
+
+
+@pytest.mark.parametrize("argv, err", [
+    (["verify-stratum", "E6", "V0^2", "--witness", ""],
+     "localstd: error: bad witness entry '': want name=value, each name once\n"),
+    (["adjacency", "a5-from-e6", "--t", ""],
+     "localstd: error: Invalid literal for Fraction: ''\n"),
+], ids=["witness", "t"])
+def test_cli_empty_flag_value_is_not_absent(argv, err, capsys):
+    assert main(argv) == 1
+    assert capsys.readouterr() == ("", err)
+
+
+def test_cli_adjacency_parses_every_t_before_any_run(monkeypatch, capsys):
+    def no_run(f):
+        raise AssertionError("a standard basis was computed before the check")
+
+    monkeypatch.setattr(cli, "milnor_local", no_run)
+    assert main(["adjacency", "a5-from-e6", "--t", "1/2,0,zz"]) == 1
+    assert capsys.readouterr() == \
+        ("", "localstd: error: Invalid literal for Fraction: 'zz'\n")
 
 
 def test_cli_adjacency(capsys):

@@ -14,9 +14,9 @@ from localstd import (CoeffField, Monomial, Poly, SingularityClass, VarCtx,
                       WeightVector, ade_normal_form, adjacency_target,
                       build_versal_family, classify_simple, hessian_corank,
                       milnor_local, milnor_orlik, neg_grevlex, neg_lex,
-                      parse_poly, sample_witness, special_adjacency_family,
-                      stratum_catalog, tyurina_local, verify_stratum,
-                      weight_vector)
+                      parse_poly, sample_witness, singularities,
+                      special_adjacency_family, stratum_catalog, tyurina_local,
+                      verify_stratum, weight_vector)
 from localstd.singularities import _hessian_kernel
 
 
@@ -146,6 +146,15 @@ def test_classify_rejects_a_germ_off_the_hypersurface():
     # 1 + x^2 + y^3 has mu = 2 but tau = 0: the origin is not on its zero set
     with pytest.raises(ValueError, match="the polynomial does not vanish at the origin"):
         classify_simple(P("1 + x^2 + y^3"))
+
+
+def test_germ_invariants_reject_a_parametric_germ_before_any_run(monkeypatch):
+    def no_run(*args, **kwargs):
+        raise AssertionError("a standard basis was computed before the check")
+
+    monkeypatch.setattr(singularities, "milnor_local", no_run)
+    with pytest.raises(ValueError, match="classification needs a parameter-free polynomial"):
+        singularities._germ_invariants(P("x^2 + t*y^3", params="t"))
 
 
 def test_classify_round_trip_up_to_index_10():
