@@ -3,6 +3,8 @@
 Each polynomial subcommand is one row of the table in _build_argparser: its
 handler, the number of --order flags it takes and whether it takes
 --step-budget.  A flag that a subcommand does not take is a usage error.
+Every row is run by _poly_command, which builds the context from --vars and
+--params, reads the source and hands both to the handler.
 
 Exit codes: 0 success, 2 parse error (also argparse usage errors), 3 wrong or
 ill-defined monomial order, 4 non-isolated singular/critical point, 5 step
@@ -61,7 +63,7 @@ def _build_argparser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version="localstd " + __version__)
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def add_poly_command(name, help_, n_orders, budget):
+    def add_poly_command(name, help_, n_orders, budget, handler):
         p = sub.add_parser(name, help=help_)
         p.add_argument("poly", nargs="?", help="polynomial expression "
                        "(generators split on ';' for basis commands)")
@@ -81,11 +83,10 @@ def _build_argparser() -> argparse.ArgumentParser:
         if budget:
             p.add_argument("--step-budget", type=int, default=None,
                            help="reduction step budget (default 10^6)")
-        p.set_defaults(n_orders=n_orders)
-        return p
+        p.set_defaults(n_orders=n_orders, func=partial(_poly_command, handler))
 
     # name, help, --order flags taken, takes --step-budget, handler
-    for name, help_, n_orders, budget, func in [
+    for row in [
             ("parse", "parse and echo the canonical form", 0, False, _cmd_parse),
             ("groebner", "Groebner basis of ';'-separated generators", 1, True,
              partial(_cmd_basis, buchberger, OrderClass.GLOBAL)),
@@ -110,7 +111,7 @@ def _build_argparser() -> argparse.ArgumentParser:
             ("milnor-orlik", "Milnor number from rational weights", 0, False,
              _cmd_milnor_orlik),
     ]:
-        add_poly_command(name, help_, n_orders, budget).set_defaults(func=func)
+        add_poly_command(*row)
 
     p = sub.add_parser("strata", help="stratification catalog of a class")
     p.add_argument("cls", help="singularity class, e.g. D6, E7")
@@ -137,19 +138,19 @@ def _build_argparser() -> argparse.ArgumentParser:
     return ap
 
 
-def _load_source(args) -> str:
+def _poly_command(handler, args):
+    """handler(args, ctx, src): ctx is the context of --vars and --params,
+    built first, and src the positional polynomial or the --file contents."""
+    ctx = VarCtx([v.strip() for v in args.vars.split(",") if v.strip()],
+                 [p.strip() for p in args.params.split(",") if p.strip()])
     if args.file:
         with open(args.file, "r", encoding="utf-8") as fh:
-            return fh.read()
-    if args.poly is None:
+            src = fh.read()
+    elif args.poly is None:
         raise ParseError("no polynomial given (positional or --file)", 0)
-    return args.poly
-
-
-def _context(args) -> VarCtx:
-    variables = [v.strip() for v in args.vars.split(",") if v.strip()]
-    params = [p.strip() for p in args.params.split(",") if p.strip()]
-    return VarCtx(variables, params)
+    else:
+        src = args.poly
+    return handler(args, ctx, src)
 
 
 def _orders(args, ctx) -> list:
@@ -191,17 +192,14 @@ def _report_human(report) -> str:
     return "\n".join(lines)
 
 
-def _cmd_parse(args):
-    ctx = _context(args)
-    p = parse_poly(_load_source(args), ctx)
+def _cmd_parse(args, ctx, src):
+    p = parse_poly(src, ctx)
     _emit(args, {"poly": p.to_str()}, p.to_str())
     return EXIT_OK
 
 
-def _cmd_basis(engine, wanted, args):
-    ctx = _context(args)
-    gens = [parse_poly(chunk, ctx)
-            for chunk in _load_source(args).split(";") if chunk.strip()]
+def _cmd_basis(engine, wanted, args, ctx, src):
+    gens = [parse_poly(chunk, ctx) for chunk in src.split(";") if chunk.strip()]
     order = _orders(args, ctx)[0] or DEFAULT_ORDERS[wanted]
     basis = engine(PolySet(gens, order), step_budget=args.step_budget)
     payload = {
@@ -215,9 +213,8 @@ def _cmd_basis(engine, wanted, args):
     return EXIT_OK
 
 
-def _cmd_invariant(fn, args):
-    ctx = _context(args)
-    f = parse_poly(_load_source(args), ctx)
+def _cmd_invariant(fn, args, ctx, src):
+    f = parse_poly(src, ctx)
     orders = _orders(args, ctx)
     t0 = time.perf_counter()
     report = fn(f, *orders, step_budget=args.step_budget)
@@ -233,9 +230,8 @@ def _cmd_invariant(fn, args):
     return EXIT_OK
 
 
-def _cmd_classify(args):
-    ctx = _context(args)
-    f = parse_poly(_load_source(args), ctx)
+def _cmd_classify(args, ctx, src):
+    f = parse_poly(src, ctx)
     mu, tau, crk, cls = _germ_invariants(f, step_budget=args.step_budget)
     payload = {"class": cls.name if cls else None, "mu": mu, "tau": tau,
                "corank": crk}
@@ -244,9 +240,8 @@ def _cmd_classify(args):
     return EXIT_OK
 
 
-def _cmd_deform(args):
-    ctx = _context(args)
-    f = parse_poly(_load_source(args), ctx)
+def _cmd_deform(args, ctx, src):
+    f = parse_poly(src, ctx)
     fam = build_versal_family(f, *_orders(args, ctx))
     payload = {
         "family": fam.family.to_str(),
@@ -258,9 +253,8 @@ def _cmd_deform(args):
     return EXIT_OK
 
 
-def _cmd_milnor_orlik(args):
-    ctx = _context(args)
-    f = parse_poly(_load_source(args), ctx)
+def _cmd_milnor_orlik(args, ctx, src):
+    f = parse_poly(src, ctx)
     w = weight_vector(f)
     if w is None:
         sys.stderr.write("localstd: polynomial is not weighted homogeneous\n")

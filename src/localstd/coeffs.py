@@ -294,9 +294,24 @@ def power(x, k: int, one):
     return out
 
 
+def _binary(body):
+    """body(a, b) on two ``_Frac``s as a forward and a reflected operator;
+    each coerces a rational operand, on whichever side, with ``_coerce``."""
+    def forward(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else body(self, other)
+
+    def reflected(self, other):
+        other = self._coerce(other)
+        return other if other is NotImplemented else body(other, self)
+    return forward, reflected
+
+
 class _Frac:
     """An element numer/denom of Q(params), in the canonical form of the
-    module docstring."""
+    module docstring.  An int or Fraction on either side of ``+ - * /`` is
+    coerced into the field by one rule (``_binary``), and a ground element
+    compares and hashes like the rational it equals."""
 
     __slots__ = ("numer", "denom", "field")
 
@@ -310,13 +325,9 @@ class _Frac:
             return self.field.from_fraction(other)
         return NotImplemented
 
-    def __eq__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        return self.numer == other.numer and self.denom == other.denom
-
     def __hash__(self):
+        if self.numer.is_ground and self.denom.is_ground:
+            return hash(Fraction(self.numer.LC, self.denom.LC))
         return hash((self.numer, self.denom))
 
     def __bool__(self):
@@ -328,44 +339,29 @@ class _Frac:
     def __neg__(self):
         return _Frac(-self.numer, self.denom, self.field)
 
-    def __add__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+    def _add(self, other):
         field = self.field
         a, b, c, d = self.numer, self.denom, other.numer, other.denom
         if b == d:
             return _Frac(a + c, b, field) if b == 1 else field._frac(a + c, b)
         return field._frac(a * d + c * b, b * d)
 
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        other = self._coerce(other)
-        return other if other is NotImplemented else self + -other
-
-    def __mul__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
-        field = self.field
+    def _mul(self, other):
         b, d = self.denom, other.denom
         if b == 1 and d == 1:
-            return _Frac(self.numer * other.numer, b, field)
-        return field._frac(self.numer * other.numer, b * d)
+            return _Frac(self.numer * other.numer, b, self.field)
+        return self.field._frac(self.numer * other.numer, b * d)
 
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return other
+    def _div(self, other):
         if not other:
             raise ZeroDivisionError("division by zero in %r" % self.field)
-        return self * _Frac(other.denom, other.numer, self.field)
+        return self._mul(_Frac(other.denom, other.numer, self.field))
 
-    def __rtruediv__(self, other):
-        return self.field.one / self * other
+    __eq__ = _binary(lambda a, b: a.numer == b.numer and a.denom == b.denom)[0]
+    __add__, __radd__ = _binary(_add)
+    __sub__, __rsub__ = _binary(lambda a, b: a._add(-b))
+    __mul__, __rmul__ = _binary(_mul)
+    __truediv__, __rtruediv__ = _binary(_div)
 
     def __pow__(self, k: int):
         return power(self, k, self.field.one)

@@ -292,6 +292,43 @@ def test_field_arithmetic_over_integer_denominators_equals_sympy(data):
 
 
 @settings(max_examples=150, deadline=None)
+@given(st.data(), st.one_of(st.integers(-9, 9), rationals), st.booleans())
+def test_rationals_coerce_on_either_side_and_hash_like_their_values(data, q, constant):
+    # An int or Fraction q on either side of + - * / is the element
+    # from_fraction(q) of Q(t) or Q(s, t); a constant element c computes like
+    # the Fraction it equals; equal values hash equal; a str is refused, and
+    # so is a zero divisor.
+    field = data.draw(st.sampled_from([QT, QST]))
+    c = (field.from_fraction(data.draw(rationals)) if constant
+         else both_fractions(data, field.params)[0])
+    fq = field.from_fraction(q)
+    values = [q, fq, c]
+    for op in [operator.add, operator.sub, operator.mul, operator.truediv]:
+        for x, y, fx, fy in [(q, c, fq, c), (c, q, c, fq)]:
+            if op is operator.truediv and not y:
+                with pytest.raises(ZeroDivisionError):
+                    op(x, y)
+                continue
+            got = op(x, y)
+            assert got == op(fx, fy)
+            values.append(got)
+            if constant:
+                cq = field.as_fraction(c)
+                expected = op(q, cq) if x is q else op(cq, q)
+                assert got == expected and expected == got
+                values.append(expected)
+        with pytest.raises(TypeError):
+            op(c, "1")
+        with pytest.raises(TypeError):
+            op("1", c)
+    assert c != "1" and not c == "1"
+    for a in values:
+        for b in values:
+            if a == b:
+                assert hash(a) == hash(b), (a, b)
+
+
+@settings(max_examples=150, deadline=None)
 @given(st.data(), st.fractions(min_value=-4, max_value=4, max_denominator=5))
 def test_partial_specialize_and_convert_equal_sympy(data, value):
     # Q(s, t) -> Q(t) at s = value: the quotient of numerator and denominator

@@ -347,6 +347,23 @@ def test_cli_too_many_orders_exit_3(capsys):
         "localstd: order error: too many --order flags (at most 1)\n"
 
 
+@pytest.mark.parametrize("command", ["milnor", "groebner"])
+@pytest.mark.parametrize("orders", [["--order", "bogus"],
+                                    ["--order", "lex", "--order", "lex"]])
+def test_cli_parse_error_precedes_order_errors(command, orders, capsys):
+    # the polynomial is parsed before the --order flags are read
+    assert main([command, "--vars", "x,y", *orders, "x^"]) == 2
+    assert capsys.readouterr().err == "localstd: parse error: exponent must " \
+        "be a non-negative integer literal (column 2)\n"
+
+
+@pytest.mark.parametrize("command", ["milnor", "groebner"])
+def test_cli_context_error_precedes_a_missing_polynomial(command, capsys):
+    assert main([command, "--vars", "x,x"]) == 1
+    assert capsys.readouterr().err == "localstd: error: variable and " \
+        "parameter names must be disjoint and duplicate-free\n"
+
+
 def test_cli_json_is_deterministic(capsys):
     args = ["milnor", "--vars", "x,y", "--params", "t", "--json",
             "x^3+y^4+x*y^2+t*x^2"]
